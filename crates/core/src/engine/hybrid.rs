@@ -21,7 +21,9 @@
 //! disjoint-branch commits concurrently. The structures those operations
 //! mutate sit behind fine-grained interior locks: each segment's bitmap
 //! index and commit-store map have their own `RwLock`, every per-branch
-//! primary-key index has its own lock, the branch-segment bitmap has one,
+//! primary-key index has its own lock (the indexes share unwritten buckets
+//! copy-on-write, see `engine/pk.rs`; a branch's lock still covers everything
+//! reachable through its handle), the branch-segment bitmap has one,
 //! branch-commit ordinals are atomics, and the version graph is
 //! copy-on-write behind a lock. Segment *membership* (`segments`, `head`,
 //! `frozen`) only changes under `&mut self` (branch/merge/checkpoint), for
@@ -41,11 +43,13 @@ use decibel_common::ids::{BranchId, CommitId, RecordIdx, SegmentId};
 use decibel_common::record::Record;
 use decibel_common::schema::Schema;
 use decibel_common::varint;
+use decibel_obs::Counter;
 use decibel_pagestore::{BufferPool, HeapFile, StoreConfig};
 use decibel_vgraph::VersionGraph;
 use parking_lot::RwLock;
 
 use crate::checkpoint;
+use crate::engine::pk::{self, HeapRows, PkIndex};
 use crate::engine::scan::{
     scan_annotated_slice, seg_resume, seg_token, AnnotatedScan, BitmapScan, PipelineAnnotatedScan,
     PipelineScan,
@@ -87,8 +91,11 @@ pub struct HybridEngine {
     /// Per-branch head segment. Mutated only under `&mut self`.
     head: Vec<SegmentId>,
     /// Per-branch primary-key index: key → (segment, slot) of the live
-    /// copy. One lock per branch so disjoint-branch writers never contend.
-    pk: Vec<RwLock<FxHashMap<u64, (SegmentId, RecordIdx)>>>,
+    /// copy. One lock per branch so disjoint-branch writers never contend;
+    /// a fork clones the parent's handle, which copies no entry.
+    pk: Vec<RwLock<PkIndex<(SegmentId, RecordIdx)>>>,
+    /// `commit/pk_cow_entries`, handed to every index built.
+    pk_cow_entries: Counter,
     /// Copy-on-write version graph: readers clone the `Arc` and traverse
     /// without holding the lock; committers `Arc::make_mut` under it.
     graph: RwLock<Arc<VersionGraph>>,
@@ -120,6 +127,7 @@ impl HybridEngine {
             .create_dir_all(&dir)
             .map_err(|e| DbError::io("creating engine directory", e))?;
         let pool = Arc::new(BufferPool::for_store(config));
+        let pk_cow_entries = pk::cow_entries_counter(&config.metrics);
         let mut engine = HybridEngine {
             dir,
             schema,
@@ -127,7 +135,8 @@ impl HybridEngine {
             segments: Vec::new(),
             branch_seg: RwLock::new(BranchBitmapIndex::new()),
             head: Vec::new(),
-            pk: vec![RwLock::new(FxHashMap::default())],
+            pk: vec![RwLock::new(PkIndex::new(pk_cow_entries.clone()))],
+            pk_cow_entries,
             graph: RwLock::new(Arc::new(VersionGraph::init())),
             branch_commits: vec![AtomicU64::new(0)],
             commit_map: RwLock::new(FxHashMap::default()),
@@ -276,34 +285,8 @@ impl HybridEngine {
                 segments[s].stores.get_mut().insert(b, (store, first));
             }
         }
-        // Pass 4: rebuild the per-branch primary-key indexes from the
-        // bitmap columns (one live copy per key per branch by invariant).
-        let mut pk = Vec::with_capacity(n_branches);
-        for b in 0..n_branches {
-            let bid = BranchId(b as u32);
-            let mut keys = FxHashMap::default();
-            let seg_bits = branch_seg.branch_bitmap(bid);
-            let mut spos = 0u64;
-            while let Some(s) = seg_bits.next_one(spos) {
-                spos = s + 1;
-                let seg = segments
-                    .get_mut(s as usize)
-                    .ok_or_else(|| corrupt("branch-segment bit names unknown segment"))?;
-                let index = seg.index.get_mut();
-                if !index.has_branch(bid) {
-                    continue;
-                }
-                let col = index.branch_bitmap(bid);
-                let mut cursor = seg.heap.pinned_cursor();
-                let mut row = 0u64;
-                while let Some(r) = col.next_one(row) {
-                    row = r + 1;
-                    let (key, _) = cursor.peek_key(r)?;
-                    keys.insert(key, (SegmentId(s as u32), RecordIdx(r)));
-                }
-            }
-            pk.push(keys);
-        }
+        let pk_cow_entries = pk::cow_entries_counter(&config.metrics);
+        let pk = Self::rebuild_pk(&graph, &segments, &branch_seg, &pk_cow_entries)?;
         Ok(HybridEngine {
             dir,
             schema,
@@ -312,12 +295,59 @@ impl HybridEngine {
             branch_seg: RwLock::new(branch_seg),
             head,
             pk: pk.into_iter().map(RwLock::new).collect(),
+            pk_cow_entries,
             graph: RwLock::new(Arc::new(graph)),
             branch_commits: branch_commits.into_iter().map(AtomicU64::new).collect(),
             commit_map: RwLock::new(commit_map),
             scan_pool: OnceLock::new(),
             fsync: config.fsync,
         })
+    }
+
+    /// Pass 4 of [`HybridEngine::open_from`]: rebuilds the per-branch
+    /// primary-key indexes from the bitmap columns (one live copy per key
+    /// per branch by invariant), in id order, so the branch a fork's commit
+    /// was made on is there for the fork to start from (see
+    /// [`PkIndex::rebuilt`]). A segment only one of the two has a column in
+    /// differs everywhere.
+    fn rebuild_pk(
+        graph: &VersionGraph,
+        segments: &[HySegment],
+        branch_seg: &BranchBitmapIndex,
+        cow_entries: &Counter,
+    ) -> Result<Vec<PkIndex<(SegmentId, RecordIdx)>>> {
+        let corrupt = |what: &str| DbError::corrupt(format!("hybrid checkpoint: {what}"));
+        let empty = Bitmap::new();
+        let mut pk: Vec<PkIndex<(SegmentId, RecordIdx)>> = Vec::new();
+        for b in 0..graph.num_branches() {
+            let bid = BranchId(b as u32);
+            let parent = graph.commit(graph.branch(bid)?.forked_at)?.branch;
+            let parent = (parent.index() < b).then_some(parent);
+            let mut seg_bits = branch_seg.branch_bitmap(bid);
+            if let Some(p) = parent {
+                seg_bits.or_assign(&branch_seg.branch_bitmap(p));
+            }
+            let mut indexes = Vec::new();
+            for s in seg_bits.iter_ones() {
+                let seg = segments
+                    .get(s as usize)
+                    .ok_or_else(|| corrupt("branch-segment bit names unknown segment"))?;
+                indexes.push((s as u32, seg, seg.index.read()));
+            }
+            let parts: Vec<_> = indexes
+                .iter()
+                .map(|(s, seg, index)| HeapRows {
+                    heap: &seg.heap,
+                    own: index.branch_ref(bid).unwrap_or(&empty),
+                    base: parent.and_then(|p| index.branch_ref(p)).unwrap_or(&empty),
+                    loc: |row| (SegmentId(*s), row),
+                })
+                .collect();
+            let parent = parent.map(|p| &pk[p.index()]);
+            let keys = PkIndex::rebuilt(parent, &parts, cow_entries)?;
+            pk.push(keys);
+        }
+        Ok(pk)
     }
 
     fn new_segment(&mut self) -> Result<SegmentId> {
@@ -347,10 +377,9 @@ impl HybridEngine {
 
     /// Segment ids containing records of `branch`, from the global bitmap.
     fn segments_of(&self, branch: BranchId) -> Vec<SegmentId> {
-        self.branch_seg
-            .read()
-            .branch_bitmap(branch)
-            .iter_ones()
+        let branch_seg = self.branch_seg.read();
+        let bits = branch_seg.branch_ref(branch).into_iter();
+        bits.flat_map(Bitmap::iter_ones)
             .map(|s| SegmentId(s as u32))
             .collect()
     }
@@ -433,7 +462,7 @@ impl HybridEngine {
 
     /// Clears the live bit of a branch's current copy of a key, if any.
     fn clear_old(&self, branch: BranchId, key: u64) -> Option<(SegmentId, RecordIdx)> {
-        let old = self.pk[branch.index()].write().remove(&key)?;
+        let old = self.pk[branch.index()].write().remove(key)?;
         // Internal segments stay frozen for data, "only the segment's
         // bitmap may change" (§3.4) — exactly this operation.
         let seg = &self.segments[old.0.index()];
@@ -631,6 +660,7 @@ impl VersionedStore for HybridEngine {
                         index.add_branch(new_b, Some(p));
                     }
                 }
+                // The key index is shared, not copied: see [`PkIndex`].
                 let inherited = self.pk[p.index()].get_mut().clone();
                 self.pk.push(RwLock::new(inherited));
                 // Two fresh head segments.
@@ -654,7 +684,8 @@ impl VersionedStore for HybridEngine {
                 // bitmaps as the child's columns.
                 let bitmaps = self.version_bitmaps(VersionRef::Commit(from_commit))?;
                 self.branch_seg.get_mut().add_branch(new_b, None);
-                let mut keys = FxHashMap::default();
+                let rows: u64 = bitmaps.iter().map(|(_, bm)| bm.count_ones()).sum();
+                let mut keys = PkIndex::with_capacity(rows as usize, self.pk_cow_entries.clone());
                 for (seg_id, bm) in bitmaps {
                     if bm.count_ones() == 0 {
                         continue;
@@ -668,14 +699,8 @@ impl VersionedStore for HybridEngine {
                         index.restore_branch(new_b, &bm);
                     }
                     self.mark_branch_segment(new_b, seg_id);
-                    let mut pos = 0u64;
-                    while let Some(row) = bm.next_one(pos) {
-                        pos = row + 1;
-                        let (key, _) = self.segments[seg_id.index()]
-                            .heap
-                            .peek_key(RecordIdx(row))?;
-                        keys.insert(key, (seg_id, RecordIdx(row)));
-                    }
+                    let heap = &self.segments[seg_id.index()].heap;
+                    keys.insert_rows(heap, &bm, |row| (seg_id, row))?;
                 }
                 self.pk.push(RwLock::new(keys));
                 let c_head = self.new_segment()?;
@@ -718,7 +743,7 @@ impl VersionedStore for HybridEngine {
     fn insert(&self, branch: BranchId, record: Record) -> Result<()> {
         self.schema.check_arity(record.fields().len())?;
         self.graph.read().branch(branch)?;
-        if self.pk[branch.index()].read().contains_key(&record.key()) {
+        if self.pk[branch.index()].read().contains_key(record.key()) {
             return Err(DbError::DuplicateKey { key: record.key() });
         }
         self.append_live(branch, &record)?;
@@ -728,7 +753,7 @@ impl VersionedStore for HybridEngine {
     fn update(&self, branch: BranchId, record: Record) -> Result<()> {
         self.schema.check_arity(record.fields().len())?;
         self.graph.read().branch(branch)?;
-        if !self.pk[branch.index()].read().contains_key(&record.key()) {
+        if !self.pk[branch.index()].read().contains_key(record.key()) {
             return Err(DbError::KeyNotFound { key: record.key() });
         }
         self.clear_old(branch, record.key());
@@ -744,7 +769,7 @@ impl VersionedStore for HybridEngine {
     fn get(&self, version: VersionRef, key: u64) -> Result<Option<Record>> {
         if let VersionRef::Branch(b) = version {
             self.graph.read().branch(b)?;
-            let loc = self.pk[b.index()].read().get(&key).copied();
+            let loc = self.pk[b.index()].read().get(key);
             return match loc {
                 Some((seg, idx)) => Ok(Some(self.segments[seg.index()].heap.get(idx)?)),
                 None => Ok(None),
@@ -986,7 +1011,10 @@ impl VersionedStore for HybridEngine {
                     // `into` in its containing segment ("identifying the
                     // new segments from the second parent that must track
                     // records for the branch it is being merged into").
-                    let (seg, idx) = self.pk[from.index()].read()[key];
+                    let (seg, idx) = self.pk[from.index()]
+                        .read()
+                        .get(*key)
+                        .expect("a key the source changed is live in the source");
                     self.clear_old(into, *key);
                     self.ensure_column(seg, into);
                     self.segments[seg.index()]

@@ -1,6 +1,7 @@
 //! The three physical storage schemes (§3).
 
 pub mod hybrid;
+mod pk;
 pub mod scan;
 pub mod tuple_first;
 pub mod version_first;

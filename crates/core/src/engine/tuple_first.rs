@@ -14,13 +14,16 @@
 //! # Interior locking
 //!
 //! The write path is `&self` (see the trait's thread-safety contract):
-//! per-branch state (`pk` maps, commit stores) is individually locked so
+//! per-branch state (`pk` indexes, commit stores) is individually locked so
 //! commits on disjoint branches only meet at the short shared-structure
 //! sections — the bitmap index (whose tuple orientation interleaves
 //! branches within one word, forcing a single lock) and the
 //! copy-on-write version graph. Lock order: `pk[branch]` → `index` →
 //! `commit_stores[branch]` → `graph` → `commit_map`; the heap's internal
-//! tail latch is a leaf.
+//! tail latch is a leaf. The `pk` indexes of different branches share
+//! their unwritten buckets copy-on-write (`engine/pk.rs`); a write copies the
+//! bucket it touches before changing it, so one branch's lock still covers
+//! everything reachable through that branch's handle.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -32,11 +35,13 @@ use decibel_common::ids::{BranchId, CommitId, RecordIdx};
 use decibel_common::record::Record;
 use decibel_common::schema::Schema;
 use decibel_common::varint;
+use decibel_obs::Counter;
 use decibel_pagestore::{BufferPool, HeapFile, StoreConfig};
 use decibel_vgraph::VersionGraph;
 use parking_lot::{Mutex, RwLock};
 
 use crate::checkpoint;
+use crate::engine::pk::{self, HeapRows, PkIndex};
 use crate::engine::scan::{AnnotatedScan, BitmapScan, PipelineAnnotatedScan, PipelineScan};
 use crate::merge::{plan_merge, ChangeSet, MergeAction};
 use crate::query::plan::ScanPlan;
@@ -87,9 +92,12 @@ pub struct TupleFirstEngine<I: IndexOrientation> {
     /// lock.
     graph: RwLock<Arc<VersionGraph>>,
     /// Per-branch primary-key index: key → slot of the live copy. Each
-    /// branch's map has its own lock so disjoint-branch writers never
-    /// touch each other's.
-    pk: Vec<RwLock<FxHashMap<u64, RecordIdx>>>,
+    /// branch's index has its own lock so disjoint-branch writers never
+    /// touch each other's; a fork clones the parent's handle, which copies
+    /// no entry.
+    pk: Vec<RwLock<PkIndex<RecordIdx>>>,
+    /// `commit/pk_cow_entries`, handed to every index built.
+    pk_cow_entries: Counter,
     /// Per-branch compressed commit history files, individually locked.
     commit_stores: Vec<Mutex<CommitStore>>,
     /// Global commit id → (branch, ordinal within that branch's store).
@@ -122,6 +130,7 @@ impl<I: IndexOrientation> TupleFirstEngine<I> {
         let ord = store.append_commit(&Bitmap::new())?;
         let mut commit_map = FxHashMap::default();
         commit_map.insert(CommitId::INIT, (BranchId::MASTER, ord));
+        let pk_cow_entries = pk::cow_entries_counter(&config.metrics);
         Ok(TupleFirstEngine {
             dir,
             schema,
@@ -129,7 +138,8 @@ impl<I: IndexOrientation> TupleFirstEngine<I> {
             heap,
             index: RwLock::new(index),
             graph: RwLock::new(Arc::new(graph)),
-            pk: vec![RwLock::new(FxHashMap::default())],
+            pk: vec![RwLock::new(PkIndex::new(pk_cow_entries.clone()))],
+            pk_cow_entries,
             commit_stores: vec![Mutex::new(store)],
             commit_map: RwLock::new(commit_map),
             fsync: config.fsync,
@@ -166,25 +176,31 @@ impl<I: IndexOrientation> TupleFirstEngine<I> {
         }
         let mut index = I::default();
         index.ensure_rows(heap_len);
-        let mut pk = Vec::with_capacity(n_branches);
-        let mut cursor = heap.pinned_cursor();
+        let pk_cow_entries = pk::cow_entries_counter(&config.metrics);
+        // The primary-key index is derived state: one live copy per key,
+        // exactly the set bits of the branch's head column. Branches are
+        // rebuilt in id order, so the branch a fork's commit was made on
+        // is there for the fork to start from (see [`PkIndex::rebuilt`]).
+        let empty = Bitmap::new();
+        let mut columns: Vec<Bitmap> = Vec::with_capacity(n_branches);
+        let mut pk: Vec<PkIndex<RecordIdx>> = Vec::with_capacity(n_branches);
         for b in 0..n_branches {
             let bid = BranchId(b as u32);
             let bm = checkpoint::read_bitmap(payload, &mut pos)?;
             index.add_branch(bid, None);
             index.restore_branch(bid, &bm);
-            // The primary-key index is derived state: one live copy per
-            // key, exactly the set bits of the branch's head column.
-            let mut keys = FxHashMap::default();
-            let mut row = 0u64;
-            while let Some(r) = bm.next_one(row) {
-                row = r + 1;
-                let (key, _) = cursor.peek_key(r)?;
-                keys.insert(key, RecordIdx(r));
-            }
-            pk.push(RwLock::new(keys));
+            let parent = graph.commit(graph.branch(bid)?.forked_at)?.branch.index();
+            let parent = (parent < b).then_some(parent);
+            let part = HeapRows {
+                heap: &heap,
+                own: &bm,
+                base: parent.map_or(&empty, |p| &columns[p]),
+                loc: |row| row,
+            };
+            let keys = PkIndex::rebuilt(parent.map(|p| &pk[p]), &[part], &pk_cow_entries)?;
+            columns.push(bm);
+            pk.push(keys);
         }
-        drop(cursor);
         // Commits per branch, for validating the reopened delta files.
         let mut per_branch = vec![0u64; n_branches];
         for c in graph.topo_order() {
@@ -221,7 +237,8 @@ impl<I: IndexOrientation> TupleFirstEngine<I> {
             heap,
             index: RwLock::new(index),
             graph: RwLock::new(Arc::new(graph)),
-            pk,
+            pk: pk.into_iter().map(RwLock::new).collect(),
+            pk_cow_entries,
             commit_stores,
             commit_map: RwLock::new(commit_map),
             fsync: config.fsync,
@@ -338,10 +355,10 @@ impl<I: IndexOrientation> VersionedStore for TupleFirstEngine<I> {
         match parent_branch {
             Some(p) => {
                 // "A branch operation clones the state of the parent
-                // branch's bitmap" (§3.2) — and its key index.
+                // branch's bitmap" (§3.2) — and shares its key index.
                 self.index.get_mut().add_branch(new_b, Some(p));
-                let cloned = self.pk[p.index()].read().clone();
-                self.pk.push(RwLock::new(cloned));
+                let shared = self.pk[p.index()].get_mut().clone();
+                self.pk.push(RwLock::new(shared));
             }
             None => {
                 // Historical commit: restore the snapshot, rebuild keys.
@@ -349,13 +366,9 @@ impl<I: IndexOrientation> VersionedStore for TupleFirstEngine<I> {
                 let index = self.index.get_mut();
                 index.add_branch(new_b, None);
                 index.restore_branch(new_b, &bm);
-                let mut keys = FxHashMap::default();
-                let mut pos = 0u64;
-                while let Some(row) = bm.next_one(pos) {
-                    pos = row + 1;
-                    let (key, _) = self.heap.peek_key(RecordIdx(row))?;
-                    keys.insert(key, RecordIdx(row));
-                }
+                let rows = bm.count_ones() as usize;
+                let mut keys = PkIndex::with_capacity(rows, self.pk_cow_entries.clone());
+                keys.insert_rows(&self.heap, &bm, |row| row)?;
                 self.pk.push(RwLock::new(keys));
             }
         }
@@ -390,7 +403,7 @@ impl<I: IndexOrientation> VersionedStore for TupleFirstEngine<I> {
         self.schema.check_arity(record.fields().len())?;
         self.graph.read().branch(branch)?;
         let mut pk = self.pk[branch.index()].write();
-        if pk.contains_key(&record.key()) {
+        if pk.contains_key(record.key()) {
             return Err(DbError::DuplicateKey { key: record.key() });
         }
         let idx = self.heap.append(&record)?;
@@ -407,8 +420,8 @@ impl<I: IndexOrientation> VersionedStore for TupleFirstEngine<I> {
         self.schema.check_arity(record.fields().len())?;
         self.graph.read().branch(branch)?;
         let mut pk = self.pk[branch.index()].write();
-        let old = *pk
-            .get(&record.key())
+        let old = pk
+            .get(record.key())
             .ok_or(DbError::KeyNotFound { key: record.key() })?;
         // "the index bit of the previous version of the record is unset ...
         // we also set the index bit for the new, updated copy of the record
@@ -427,7 +440,7 @@ impl<I: IndexOrientation> VersionedStore for TupleFirstEngine<I> {
     fn delete(&self, branch: BranchId, key: u64) -> Result<bool> {
         self.graph.read().branch(branch)?;
         let mut pk = self.pk[branch.index()].write();
-        match pk.remove(&key) {
+        match pk.remove(key) {
             Some(old) => {
                 self.index.write().set(branch, old.raw(), false);
                 Ok(true)
@@ -439,7 +452,7 @@ impl<I: IndexOrientation> VersionedStore for TupleFirstEngine<I> {
     fn get(&self, version: VersionRef, key: u64) -> Result<Option<Record>> {
         if let VersionRef::Branch(b) = version {
             self.graph.read().branch(b)?;
-            let slot = self.pk[b.index()].read().get(&key).copied();
+            let slot = self.pk[b.index()].read().get(key);
             return match slot {
                 Some(idx) => Ok(Some(self.heap.get(idx)?)),
                 None => Ok(None),
@@ -616,6 +629,7 @@ impl<I: IndexOrientation> VersionedStore for TupleFirstEngine<I> {
         let mut changed = 0u64;
         {
             let mut index = self.index.write();
+            // An O(1) handle clone is the read snapshot of the source.
             let pk_from = self.pk[from.index()].read().clone();
             let mut pk_into = self.pk[into.index()].write();
             for (key, action) in &plan.actions {
@@ -623,8 +637,10 @@ impl<I: IndexOrientation> VersionedStore for TupleFirstEngine<I> {
                     MergeAction::KeepLeft => {}
                     MergeAction::TakeRight(_) => {
                         // Adopt the source's physical copy: flip bits, no I/O.
-                        let src_row = pk_from[key];
-                        if let Some(old) = pk_into.get(key).copied() {
+                        let src_row = pk_from
+                            .get(*key)
+                            .expect("a key the source changed is live in the source");
+                        if let Some(old) = pk_into.get(*key) {
                             index.set(into, old.raw(), false);
                         }
                         index.set(into, src_row.raw(), true);
@@ -632,7 +648,7 @@ impl<I: IndexOrientation> VersionedStore for TupleFirstEngine<I> {
                         changed += 1;
                     }
                     MergeAction::Materialize(rec) => {
-                        if let Some(old) = pk_into.get(key).copied() {
+                        if let Some(old) = pk_into.get(*key) {
                             index.set(into, old.raw(), false);
                         }
                         let idx = heap.append(rec)?;
@@ -642,7 +658,7 @@ impl<I: IndexOrientation> VersionedStore for TupleFirstEngine<I> {
                         changed += 1;
                     }
                     MergeAction::Delete => {
-                        if let Some(old) = pk_into.remove(key) {
+                        if let Some(old) = pk_into.remove(*key) {
                             index.set(into, old.raw(), false);
                             changed += 1;
                         }

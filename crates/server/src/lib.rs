@@ -127,6 +127,9 @@ pub struct Server {
     auth_token: Option<String>,
     poll: Poll,
     shared: Arc<Shared>,
+    /// Registered here, not on the loop thread, so a snapshot taken right
+    /// after [`Server::spawn`] already holds the whole `server` family.
+    obs: ServerMetrics,
 }
 
 /// State shared between the loop thread, the workers, and the handle.
@@ -144,8 +147,8 @@ struct Shared {
 }
 
 /// The event loop's instruments, all under [`family::SERVER`]. Bound once
-/// at loop start; the hot paths touch pre-resolved cells, never the
-/// registry map.
+/// in [`Server::bind`] and moved into the loop; the hot paths touch
+/// pre-resolved cells, never the registry map.
 struct ServerMetrics {
     /// Connections ever admitted (the live count is the gauge below).
     conns_total: Counter,
@@ -204,6 +207,8 @@ impl Server {
             .map_err(|e| DbError::io("registering listener", e))?;
         let waker =
             Waker::new(&poll, WAKER).map_err(|e| DbError::io("creating server waker", e))?;
+        let metrics = Registry::new();
+        let obs = ServerMetrics::register(&metrics);
         Ok(Server {
             listener,
             db,
@@ -215,8 +220,9 @@ impl Server {
                 shutdown: AtomicBool::new(false),
                 waker,
                 live: AtomicUsize::new(0),
-                metrics: Registry::new(),
+                metrics,
             }),
+            obs,
         })
     }
 
@@ -745,7 +751,6 @@ impl EventLoop {
         let mut hello_frame = Vec::new();
         write_frame(&mut hello_frame, &hello.encode()).expect("encoding hello");
         let workers = WorkerPool::start(&server.db, &schema, &server.shared);
-        let obs = ServerMetrics::register(&server.shared.metrics);
         EventLoop {
             poll: server.poll,
             listener: server.listener,
@@ -761,7 +766,7 @@ impl EventLoop {
             next_generation: 0,
             deadlines: BinaryHeap::new(),
             scratch: vec![0u8; READ_CHUNK],
-            obs,
+            obs: server.obs,
         }
     }
 

@@ -445,12 +445,17 @@ fn flush_quiesces_concurrent_commits_without_deadlock() {
             .unwrap();
     }
 
+    // Writers and the flusher leave the barrier together, so the first
+    // flush is under way before any writer can have finished.
+    let start = Arc::new(std::sync::Barrier::new(WRITERS + 1));
     let writers: Vec<_> = (0..WRITERS as u64)
         .map(|w| {
             let db = db.clone();
+            let start = Arc::clone(&start);
             std::thread::spawn(move || {
                 let mut session = db.session();
                 session.checkout_branch(&format!("w{w}")).unwrap();
+                start.wait();
                 for i in 0..COMMITS_EACH {
                     session.insert(rec(w * 1_000_000 + i)).unwrap();
                     session.commit().unwrap();
@@ -459,16 +464,17 @@ fn flush_quiesces_concurrent_commits_without_deadlock() {
         })
         .collect();
     // Checkpoint continuously while the writers commit.
-    let mut flushes = 0u32;
-    while writers.iter().any(|w| !w.is_finished()) {
+    start.wait();
+    loop {
         db.flush().unwrap();
-        flushes += 1;
+        if writers.iter().all(|w| w.is_finished()) {
+            break;
+        }
         std::thread::yield_now();
     }
     for w in writers {
         w.join().expect("writer under flush");
     }
-    assert!(flushes > 0);
     db.flush().unwrap();
     drop(db);
 
