@@ -1,5 +1,5 @@
 //! Ablations of Decibel's design choices (beyond the paper's headline
-//! figures; see DESIGN.md §3).
+//! figures).
 
 use std::time::Instant;
 

@@ -1,15 +1,13 @@
-//! One module per paper table/figure (see DESIGN.md's experiment index).
+//! One module per paper table/figure (the index is the `decibel-bench`
+//! binary's experiment list).
 
 pub mod ablate;
-pub mod commit;
 pub mod commits;
 pub mod gitcmp;
 pub mod load;
 pub mod merges;
 pub mod queries;
 pub mod scaling;
-pub mod server;
-pub mod smoke;
 pub mod tablewise;
 
 use std::path::Path;

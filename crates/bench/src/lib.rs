@@ -15,7 +15,7 @@
 //!   branch roles queries select from;
 //! * [`queries`] — timed runners for the benchmark's Q1–Q4 (§4.3);
 //! * [`experiments`] — one module per paper table/figure, each printing
-//!   the paper-style rows (see DESIGN.md's experiment index);
+//!   the paper-style rows (the `decibel-bench` binary lists them);
 //! * [`report`] — fixed-width table formatting.
 
 pub mod experiments;

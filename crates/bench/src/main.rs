@@ -1,31 +1,27 @@
 //! The `decibel-bench` binary: regenerates every table and figure from the
-//! paper's evaluation (§5) plus the DESIGN.md ablations.
+//! paper's evaluation (§5) plus three ablations of this implementation's
+//! own design choices.
 //!
 //! ```text
 //! decibel-bench <experiment|all> [--scale F] [--repeats N] [--warm] [--json DIR]
 //! ```
 //!
-//! Experiments: smoke server commit fig6a fig6b fig7 fig8 fig9 fig10 fig11 table2
-//! table3 table4 table5 table6 table7 ablate-bitmap ablate-commit-layers
+//! Experiments: fig6a fig6b fig7 fig8 fig9 fig10 fig11 table2 table3
+//! table4 table5 table6 table7 ablate-bitmap ablate-commit-layers
 //! ablate-clustered. Scale 1.0 keeps each experiment in the seconds-to-
 //! minutes range; the paper's shapes (who wins, by what factor) are the
-//! reproduction target, not absolute numbers (see EXPERIMENTS.md).
+//! reproduction target, not absolute numbers. `--json DIR` writes each
+//! experiment's table as `DIR/<name>.json`.
 //!
-//! `smoke` is the seconds-scale multi-branch scan microbenchmark CI runs
-//! on every PR; `--json DIR` writes each experiment's table as
-//! `DIR/<name>.json` (the format `BENCH_scan.json` records). Experiments
-//! that attach metric-registry deltas (smoke, commit) also write
-//! `DIR/<name>_metrics.json` — per-row snapshot deltas plus the run's
-//! cumulative snapshot, the CI metrics artifact.
+//! This binary reproduces the paper; the repo's own performance record —
+//! end-to-end and per-layer, local and over the wire — is `perfbench/`
+//! (see README "Benchmark").
 
 use decibel_bench::experiments::{self, Ctx};
 use decibel_bench::report::Table;
 use decibel_common::Result;
 
 const EXPERIMENTS: &[&str] = &[
-    "smoke",
-    "server",
-    "commit",
     "fig6a",
     "fig6b",
     "fig7",
@@ -46,9 +42,6 @@ const EXPERIMENTS: &[&str] = &[
 
 fn run_one(name: &str, ctx: &Ctx) -> Result<Table> {
     match name {
-        "smoke" => experiments::smoke::smoke(ctx),
-        "server" => experiments::server::server(ctx),
-        "commit" => experiments::commit::commit(ctx),
         "fig6a" => experiments::scaling::fig6a(ctx),
         "fig6b" => experiments::scaling::fig6b(ctx),
         "fig7" => experiments::queries::fig7(ctx),
@@ -127,13 +120,6 @@ fn main() {
                     }) {
                         eprintln!("writing {name}.json failed: {e}");
                         std::process::exit(1);
-                    }
-                    if let Some(metrics) = table.metrics_json() {
-                        let path = dir.join(format!("{name}_metrics.json"));
-                        if let Err(e) = std::fs::write(&path, metrics) {
-                            eprintln!("writing {name}_metrics.json failed: {e}");
-                            std::process::exit(1);
-                        }
                     }
                 }
                 eprintln!(

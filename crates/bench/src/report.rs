@@ -1,14 +1,10 @@
 //! Fixed-width table formatting for experiment output.
 
-use decibel_obs::Snapshot;
-
-/// A printable results table with a title, column headers, and rows,
-/// plus an optional machine-readable metrics document riding alongside.
+/// A printable results table with a title, column headers, and rows.
 pub struct Table {
     title: String,
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
-    metrics: Option<String>,
 }
 
 impl Table {
@@ -18,20 +14,7 @@ impl Table {
             title: title.into(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
-            metrics: None,
         }
-    }
-
-    /// Attaches a metrics-snapshot JSON document to the table. With
-    /// `--json DIR` the driver writes it next to the table's own JSON as
-    /// `DIR/<experiment>_metrics.json` (the CI metrics artifact).
-    pub fn attach_metrics(&mut self, json: String) {
-        self.metrics = Some(json);
-    }
-
-    /// The attached metrics document, if any.
-    pub fn metrics_json(&self) -> Option<&str> {
-        self.metrics.as_deref()
     }
 
     /// Appends a row (must match the header arity).
@@ -79,9 +62,8 @@ impl Table {
 
     /// Renders the table as machine-readable JSON: an object with the
     /// title and an array of row objects keyed by header. Cells that parse
-    /// as numbers are emitted as JSON numbers so downstream tooling (the
-    /// `smoke` subcommand's baseline files, CI trend scripts) can consume
-    /// them without re-parsing strings.
+    /// as numbers are emitted as JSON numbers so downstream tooling can
+    /// consume them without re-parsing strings.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n  \"title\": ");
@@ -175,28 +157,6 @@ fn is_json_number(s: &str) -> bool {
         }
     }
     i == b.len()
-}
-
-/// Renders per-row registry deltas plus a cumulative snapshot as the
-/// metrics artifact document ([`Table::attach_metrics`]): each timing row
-/// pairs with the metric movement it caused, and `cumulative` is the full
-/// end-of-run snapshot whose schema the CI golden-file check audits.
-pub fn metrics_artifact(deltas: &[(String, Snapshot)], cumulative: &Snapshot) -> String {
-    let mut out = String::from("{\n  \"rows\": [");
-    for (i, (name, delta)) in deltas.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"bench\": {}, \"delta\": {}}}",
-            json_string(name),
-            delta.to_json()
-        ));
-    }
-    out.push_str("\n  ],\n  \"cumulative\": ");
-    out.push_str(&cumulative.to_json());
-    out.push_str("\n}\n");
-    out
 }
 
 /// Formats a millisecond value compactly.

@@ -225,6 +225,31 @@ impl Record {
         Ok(())
     }
 
+    /// Appends to `out` the projected image of a serialized full-width
+    /// `slot` — byte for byte what [`Record::read_projected`] followed by
+    /// [`Record::write_projected_image`] produces, with no `Record` in
+    /// between. For [`Projection::All`] the image *is* the slot. The
+    /// caller guarantees `slot` is a whole slot and the projection's
+    /// columns are in range (see [`Projection::validate`]).
+    #[inline]
+    pub fn copy_projected_image(
+        schema: &Schema,
+        slot: &[u8],
+        projection: &Projection,
+        out: &mut Vec<u8>,
+    ) {
+        let Projection::Columns(cols) = projection else {
+            out.extend_from_slice(slot);
+            return;
+        };
+        out.extend_from_slice(&slot[..RECORD_HEADER_BYTES + KEY_BYTES]);
+        let width = schema.column_type().width();
+        for &c in cols {
+            let off = schema.col_offset(c);
+            out.extend_from_slice(&slot[off..off + width]);
+        }
+    }
+
     /// Deserializes a projected image written by
     /// [`Record::write_projected_image`]; non-projected fields read as
     /// `0`. `buf` must be exactly [`Projection::image_size`] bytes.
@@ -398,6 +423,17 @@ mod tests {
         assert!(Record::read_projected_image(&s, &img, &proj)
             .unwrap()
             .is_tombstone());
+        // Copying the image off a slot equals decode-then-encode.
+        for (rec, p) in [(&r, &proj), (&r, &Projection::All), (&t, &proj)] {
+            let slot = rec.to_bytes(&s).unwrap();
+            let (mut copied, mut encoded) = (Vec::new(), Vec::new());
+            Record::copy_projected_image(&s, &slot, p, &mut copied);
+            Record::read_projected(&s, &slot, p)
+                .unwrap()
+                .write_projected_image(&s, p, &mut encoded)
+                .unwrap();
+            assert_eq!(copied, encoded, "{p:?}");
+        }
         // A truncated image is corrupt, not a short record.
         assert!(Record::read_projected_image(&s, &img[..img.len() - 1], &proj).is_err());
     }

@@ -6,18 +6,18 @@
 //! in-process caller that wants the rows anyway, and the wrong shape for
 //! a server streaming to a slow socket: the materialized result pins
 //! O(result) memory for as long as the client takes to drain it. The
-//! cursors here invert that: each [`ScanCursor::next_chunk`] call
-//! re-acquires the shared store lock (plus the scanned branch heads'
-//! shard read locks), re-opens the engine's scan iterator, skips the
-//! already-emitted prefix, collects up to `max_rows` qualifying rows, and
-//! releases every lock before returning. Between chunks the cursor holds
-//! nothing but plain data — a version ref, a predicate, and a skip count
-//! — so a stalled consumer blocks no commit, no flush, and no other scan.
+//! cursors here invert that: each [`ScanCursor::stream`] call re-acquires
+//! the shared store lock (plus the scanned branch heads' shard read
+//! locks), re-opens the engine's planned scan at the resume token of the
+//! last delivered row, delivers a bounded number of chunks, and releases
+//! every lock before returning. Between calls the cursor holds nothing
+//! but plain data — a version ref, a plan, and a resume token — so a
+//! stalled consumer blocks no commit, no flush, and no other scan.
 //!
 //! # Consistency
 //!
 //! A chunked scan is *read-committed per chunk*, not a single snapshot:
-//! commits that land between two `next_chunk` calls are visible to later
+//! commits that land between two `stream` calls are visible to later
 //! chunks. The already-emitted prefix stays stable because every engine's
 //! storage is append-only within a branch (updates append a new live copy
 //! and flip bitmap/tombstone state; nothing is overwritten or compacted
@@ -35,22 +35,49 @@
 //! transaction overlay, exactly like
 //! [`Session::scan_with`](crate::session::Session::scan_with).
 //!
+//! # One driver, two kinds of consumer
+//!
+//! The engines' planned scan yields each qualifying row as its serialized
+//! slot on the pinned heap page
+//! ([`SlotCursor`](crate::types::SlotCursor)); a cursor here drives that
+//! scan under the locks and hands every slot to a [`RowSink`], telling it
+//! where chunks end. That is the one loop:
+//!
+//! * [`ScanCursor::stream`] / [`MultiScanCursor::stream`] expose it
+//!   directly — the **byte sink**. The server's sink copies each slot's
+//!   projected image straight into the connection's write buffer, so a
+//!   streamed scan builds no `Record`, no `Vec<BranchId>`, and nothing to
+//!   free; its allocations are O(chunks), not O(rows).
+//! * [`ScanCursor::for_each_chunk`] / [`ScanCursor::next_chunk`] (and the
+//!   multi-branch twins) are derived from it with a sink that decodes each
+//!   slot under the plan's projection
+//!   ([`Record::read_projected`]) — the same decode the engines used to do
+//!   internally, now done by the consumer that wants records.
+//!
+//! **Held across sink calls:** the store read lock, the scanned heads'
+//! shard read locks, and the engine cursor's one pinned page — for
+//! [`RowSink::row`] (which must only copy or decode) and for
+//! [`RowSink::end_chunk`] (which may do bounded, nonblocking work such as
+//! a socket write, and ends the acquisition by returning `Ok(false)`).
+//! **Not held** once `stream` returns: anything. The `slot` and `live`
+//! slices passed to `row` borrow the pinned page and the cursor's reused
+//! annotation buffer and are invalid after the call returns.
+//!
 //! # Resumption cost
 //!
 //! Resumption rides the engines' scan-pipeline *resume tokens*
 //! ([`VersionedStore::scan_pipeline`](crate::store::VersionedStore::scan_pipeline)):
 //! the cursor remembers the token of the last delivered row and passes it
 //! back as `from` on the next acquisition. For the bitmap engines
-//! (tuple-first, hybrid) that re-entry is O(1) — a word offset or a
-//! `(segment, slot)` pair — not an O(prefix) iterator walk; version-first
+//! (tuple-first, hybrid) that re-entry is O(1) — a `(segment, slot)` pair
+//! naming a liveness word — not an O(prefix) iterator walk; version-first
 //! replays the prefix with key peeks only (it must rebuild its shadowing
 //! set; there is no bitmap to jump through). The pipeline also pushes the
-//! cursor's predicate down to page bytes and decodes only the projected
-//! columns, so a filtered chunked scan never materializes non-qualifying
-//! or non-projected data. [`ScanCursor::for_each_chunk`] additionally
-//! amortizes lock acquisition and scan re-planning across many chunks for
-//! consumers that are keeping up, releasing everything the moment the
-//! sink reports backpressure (or a chunk budget runs out).
+//! cursor's predicate down to page bytes, so a filtered chunked scan never
+//! touches a non-qualifying row beyond the compared columns. A `stream`
+//! call amortizes lock acquisition and scan re-planning across up to
+//! `max_chunks` chunks for consumers that are keeping up, releasing
+//! everything the moment the sink reports backpressure.
 
 use std::sync::Arc;
 
@@ -58,11 +85,50 @@ use decibel_common::error::Result;
 use decibel_common::hash::FxHashMap;
 use decibel_common::ids::BranchId;
 use decibel_common::record::Record;
+use decibel_common::schema::Schema;
+use decibel_common::Projection;
 
 use crate::db::Database;
 use crate::query::plan::ScanPlan;
 use crate::query::Predicate;
 use crate::types::VersionRef;
+
+/// Where a chunked scan's rows go — see the [module docs](self) for what
+/// is held while these run.
+pub trait RowSink {
+    /// One qualifying row: its full-width serialized slot
+    /// ([`Schema::record_size`] bytes; project it with
+    /// [`Record::read_projected`] or [`Record::copy_projected_image`]) and,
+    /// for multi-branch scans, the branches it is live in (empty for
+    /// single-version scans). Both slices die with the call.
+    fn row(&mut self, slot: &[u8], live: &[BranchId]) -> Result<()>;
+
+    /// The `rows` rows delivered since the previous call form one chunk.
+    /// Return `Ok(false)` to end this lock acquisition (backpressure).
+    fn end_chunk(&mut self, rows: usize) -> Result<bool>;
+}
+
+/// The [`RowSink`] behind the record-yielding conveniences: decodes each
+/// slot under the plan's projection and hands whole chunks to `f`.
+struct DecodeSink<'a, T, F> {
+    schema: &'a Schema,
+    projection: &'a Projection,
+    rows: Vec<T>,
+    make: fn(Record, &[BranchId]) -> T,
+    f: F,
+}
+
+impl<T, F: FnMut(Vec<T>) -> Result<bool>> RowSink for DecodeSink<'_, T, F> {
+    fn row(&mut self, slot: &[u8], live: &[BranchId]) -> Result<()> {
+        let rec = Record::read_projected(self.schema, slot, self.projection)?;
+        self.rows.push((self.make)(rec, live));
+        Ok(())
+    }
+
+    fn end_chunk(&mut self, _rows: usize) -> Result<bool> {
+        (self.f)(std::mem::take(&mut self.rows))
+    }
+}
 
 /// The branch heads a scan of `version` must shard-lock (commit refs are
 /// immutable and need none).
@@ -79,9 +145,10 @@ fn shard_branches(version: VersionRef) -> Vec<BranchId> {
 /// [`Session::chunked_scan`](crate::session::Session::chunked_scan).
 pub struct ScanCursor {
     db: Arc<Database>,
+    schema: Schema,
     version: VersionRef,
-    /// Predicate + projection, lowered per acquisition into the engine's
-    /// scan pipeline (page-level predicate, projected decode).
+    /// Predicate (lowered per acquisition into the engine's page-level
+    /// filter) + the projection consumers decode or copy slots under.
     plan: ScanPlan,
     /// Keys shadowed by the session overlay (skipped in the base scan).
     overlay: FxHashMap<u64, Option<Record>>,
@@ -123,10 +190,10 @@ impl ScanCursor {
         plan: ScanPlan,
     ) -> ScanCursor {
         db.scan_metrics.queries.inc();
-        db.scan_metrics
-            .plan_lowered(plan.page_predicate().is_some());
+        db.scan_metrics.plans_pushdown.inc();
         let pending = overlay.values().flatten().cloned().collect();
         ScanCursor {
+            schema: db.schema(),
             db,
             version,
             plan,
@@ -152,22 +219,44 @@ impl ScanCursor {
         Ok(got)
     }
 
-    /// Streams up to `max_chunks` chunks of up to `max_rows` rows each
-    /// into `sink` under a **single** lock acquisition. Stops early —
-    /// releasing every lock — the moment `sink` returns `Ok(false)` (the
-    /// consumer is backpressured). Returns `Ok(true)` once the scan is
-    /// exhausted, `Ok(false)` if more remains.
-    ///
-    /// This is the amortization path for consumers draining at speed:
-    /// lock acquisition and scan planning are paid once per call instead
-    /// of once per chunk. The memory contract is the sink's to keep — the
-    /// cursor hands over one chunk at a time and holds nothing across
-    /// sink calls.
+    /// [`ScanCursor::stream`] with every chunk decoded into records
+    /// (non-projected fields read `0`) before `sink` sees it.
     pub fn for_each_chunk(
         &mut self,
         max_rows: usize,
         max_chunks: usize,
-        mut sink: impl FnMut(Vec<Record>) -> Result<bool>,
+        sink: impl FnMut(Vec<Record>) -> Result<bool>,
+    ) -> Result<bool> {
+        let (schema, projection) = (self.schema.clone(), self.plan.projection.clone());
+        self.stream(
+            max_rows,
+            max_chunks,
+            &mut DecodeSink {
+                schema: &schema,
+                projection: &projection,
+                rows: Vec::new(),
+                make: |rec, _| rec,
+                f: sink,
+            },
+        )
+    }
+
+    /// Streams up to `max_chunks` chunks of up to `max_rows` rows each
+    /// into `sink` under a **single** lock acquisition, as slot bytes.
+    /// Stops early — releasing every lock — the moment
+    /// [`RowSink::end_chunk`] returns `Ok(false)` (the consumer is
+    /// backpressured). Returns `Ok(true)` once the scan is exhausted,
+    /// `Ok(false)` if more remains. On `Err` the sink may have received
+    /// rows of a chunk that never ended; it must discard them.
+    ///
+    /// This is the amortization path for consumers draining at speed:
+    /// lock acquisition and scan planning are paid once per call instead
+    /// of once per chunk, and row counters are flushed once per chunk.
+    pub fn stream(
+        &mut self,
+        max_rows: usize,
+        max_chunks: usize,
+        sink: &mut impl RowSink,
     ) -> Result<bool> {
         if self.done {
             return Ok(true);
@@ -177,42 +266,37 @@ impl ScanCursor {
         if !self.base_done {
             let store = self.db.store.read();
             let _shards = self.db.shards.read_many(&shard_branches(self.version));
-            // The pipeline filters, projects, and resumes from the token
-            // inside the engine; only overlay shadowing remains here.
-            let mut iter = store.scan_pipeline(self.version, &self.plan, self.resume)?;
+            // The pipeline filters and resumes from the token inside the
+            // engine; only overlay shadowing remains here.
+            let mut cursor = store.scan_pipeline(self.version, &self.plan, self.resume)?;
             // Hoisted: sessions without writes (and every database-level
             // scan) have an empty overlay, and hashing every key against
             // an empty map is measurable at scan rates.
             let overlay_empty = self.overlay.is_empty();
             while !self.base_done && chunks < max_chunks {
-                let mut out = Vec::new();
-                // Per-chunk tally, flushed to the shared counters once per
-                // chunk — never a shared atomic per row.
-                let mut seen = 0u64;
-                while out.len() < max_rows {
-                    match iter.next() {
-                        Some(item) => {
-                            let (token, rec) = item?;
-                            self.resume = token;
-                            seen += 1;
-                            if overlay_empty || !self.overlay.contains_key(&rec.key()) {
-                                out.push(rec);
-                            }
-                        }
-                        None => {
-                            self.base_done = true;
-                            break;
-                        }
+                // Per-chunk tallies, flushed to the shared counters once
+                // per chunk — never a shared atomic per row.
+                let (mut rows, mut seen) = (0usize, 0u64);
+                while rows < max_rows {
+                    let Some((token, slot)) = cursor.next_slot()? else {
+                        self.base_done = true;
+                        break;
+                    };
+                    self.resume = token;
+                    seen += 1;
+                    if overlay_empty || !self.overlay.contains_key(&Record::peek_key(slot).0) {
+                        sink.row(slot, &[])?;
+                        rows += 1;
                     }
                 }
                 self.db.scan_metrics.rows_scanned.add(seen);
-                if out.is_empty() {
+                if rows == 0 {
                     break; // base exhausted with nothing gathered
                 }
-                self.emitted += out.len() as u64;
-                self.db.scan_metrics.rows_emitted.add(out.len() as u64);
+                self.emitted += rows as u64;
+                self.db.scan_metrics.rows_emitted.add(rows as u64);
                 chunks += 1;
-                if !sink(out)? {
+                if !sink.end_chunk(rows)? {
                     // Backpressure: the guards drop as we return. (The
                     // exhaustion check is inlined — calling a &mut self
                     // method here would conflict with the live guards.)
@@ -226,29 +310,34 @@ impl ScanCursor {
                 return Ok(false); // chunk budget spent
             }
         }
+        // Overlay rows never sat on a page: filter them with the source
+        // predicate and serialize them into a scratch slot, so the sink
+        // sees one row shape.
+        let mut scratch = Vec::new();
         while self.pending_pos < self.pending.len() && chunks < max_chunks {
-            let mut out = Vec::new();
+            let mut rows = 0usize;
             let chunk_start = self.pending_pos;
-            while out.len() < max_rows && self.pending_pos < self.pending.len() {
+            while rows < max_rows && self.pending_pos < self.pending.len() {
                 let rec = &self.pending[self.pending_pos];
                 self.pending_pos += 1;
-                // Overlay rows never touched the engine pipeline: apply
-                // the same predicate + projection here.
-                if let Some(rec) = self.plan.apply(rec.clone()) {
-                    out.push(rec);
+                if self.plan.predicate.eval(rec) {
+                    scratch.resize(self.schema.record_size(), 0);
+                    rec.write_to(&self.schema, &mut scratch)?;
+                    sink.row(&scratch, &[])?;
+                    rows += 1;
                 }
             }
             self.db
                 .scan_metrics
                 .rows_scanned
                 .add((self.pending_pos - chunk_start) as u64);
-            if out.is_empty() {
+            if rows == 0 {
                 break;
             }
-            self.emitted += out.len() as u64;
-            self.db.scan_metrics.rows_emitted.add(out.len() as u64);
+            self.emitted += rows as u64;
+            self.db.scan_metrics.rows_emitted.add(rows as u64);
             chunks += 1;
-            if !sink(out)? {
+            if !sink.end_chunk(rows)? {
                 return Ok(self.finished());
             }
         }
@@ -265,7 +354,7 @@ impl ScanCursor {
     }
 
     /// Rows emitted so far — the scan's terminal row count once
-    /// [`ScanCursor::next_chunk`] has returned `None`.
+    /// [`ScanCursor::stream`] has returned `true`.
     pub fn emitted(&self) -> u64 {
         self.emitted
     }
@@ -281,9 +370,10 @@ pub type AnnotatedChunk = Vec<(Record, Vec<BranchId>)>;
 /// [`Database::chunked_multi_scan`](crate::db::Database::chunked_multi_scan).
 pub struct MultiScanCursor {
     db: Arc<Database>,
+    schema: Schema,
     branches: Vec<BranchId>,
-    /// Predicate + projection lowered into the engines' multi-scan
-    /// pipeline per acquisition.
+    /// Predicate lowered into the engines' multi-scan pipeline per
+    /// acquisition + the projection consumers decode or copy under.
     plan: ScanPlan,
     /// Resume token of the last delivered row (`0` = start).
     resume: u64,
@@ -298,9 +388,9 @@ impl MultiScanCursor {
         plan: ScanPlan,
     ) -> MultiScanCursor {
         db.scan_metrics.queries.inc();
-        db.scan_metrics
-            .plan_lowered(plan.page_predicate().is_some());
+        db.scan_metrics.plans_pushdown.inc();
         MultiScanCursor {
+            schema: db.schema(),
             db,
             branches,
             plan,
@@ -322,13 +412,36 @@ impl MultiScanCursor {
         Ok(got)
     }
 
-    /// Streams up to `max_chunks` chunks into `sink` under a single lock
-    /// acquisition; the contract matches [`ScanCursor::for_each_chunk`].
+    /// [`MultiScanCursor::stream`] with every chunk decoded into
+    /// annotated records before `sink` sees it.
     pub fn for_each_chunk(
         &mut self,
         max_rows: usize,
         max_chunks: usize,
-        mut sink: impl FnMut(AnnotatedChunk) -> Result<bool>,
+        sink: impl FnMut(AnnotatedChunk) -> Result<bool>,
+    ) -> Result<bool> {
+        let (schema, projection) = (self.schema.clone(), self.plan.projection.clone());
+        self.stream(
+            max_rows,
+            max_chunks,
+            &mut DecodeSink {
+                schema: &schema,
+                projection: &projection,
+                rows: Vec::new(),
+                make: |rec, live| (rec, live.to_vec()),
+                f: sink,
+            },
+        )
+    }
+
+    /// Streams up to `max_chunks` chunks into `sink` under a single lock
+    /// acquisition, as slot bytes plus branch annotations; the contract
+    /// matches [`ScanCursor::stream`].
+    pub fn stream(
+        &mut self,
+        max_rows: usize,
+        max_chunks: usize,
+        sink: &mut impl RowSink,
     ) -> Result<bool> {
         if self.done {
             return Ok(true);
@@ -337,35 +450,30 @@ impl MultiScanCursor {
         let mut chunks = 0usize;
         let store = self.db.store.read();
         let _shards = self.db.shards.read_many(&self.branches);
-        let mut iter = store.multi_scan_pipeline(&self.branches, &self.plan, self.resume)?;
+        let mut cursor = store.multi_scan_pipeline(&self.branches, &self.plan, self.resume)?;
         while !self.done && chunks < max_chunks {
-            let mut out = Vec::new();
-            // Per-chunk tally, flushed once per chunk (see `ScanCursor`).
-            let mut seen = 0u64;
-            while out.len() < max_rows {
-                match iter.next() {
-                    Some(item) => {
-                        let (token, rec, live) = item?;
-                        self.resume = token;
-                        seen += 1;
-                        if !live.is_empty() {
-                            out.push((rec, live));
-                        }
-                    }
-                    None => {
-                        self.done = true;
-                        break;
-                    }
+            // Per-chunk tallies, flushed once per chunk (see `ScanCursor`).
+            let (mut rows, mut seen) = (0usize, 0u64);
+            while rows < max_rows {
+                let Some((token, slot, live)) = cursor.next_slot()? else {
+                    self.done = true;
+                    break;
+                };
+                self.resume = token;
+                seen += 1;
+                if !live.is_empty() {
+                    sink.row(slot, live)?;
+                    rows += 1;
                 }
             }
             self.db.scan_metrics.rows_scanned.add(seen);
-            if out.is_empty() {
+            if rows == 0 {
                 break;
             }
-            self.emitted += out.len() as u64;
-            self.db.scan_metrics.rows_emitted.add(out.len() as u64);
+            self.emitted += rows as u64;
+            self.db.scan_metrics.rows_emitted.add(rows as u64);
             chunks += 1;
-            if !sink(out)? {
+            if !sink.end_chunk(rows)? {
                 return Ok(self.done);
             }
         }

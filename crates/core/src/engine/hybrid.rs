@@ -51,17 +51,16 @@ use parking_lot::RwLock;
 use crate::checkpoint;
 use crate::engine::pk::{self, HeapRows, PkIndex};
 use crate::engine::scan::{
-    scan_annotated_slice, seg_resume, seg_token, AnnotatedScan, BitmapScan, PipelineAnnotatedScan,
-    PipelineScan,
+    scan_annotated_slice, AnnotatedScan, BitmapScan, ColumnAnnotatedScan, Seg, SegmentedScan,
 };
 use crate::merge::{plan_merge, ChangeSet, MergeAction};
 use crate::pool::ScanPool;
-use crate::query::plan::{LoweredPlan, ScanPlan};
+use crate::query::plan::ScanPlan;
 use crate::shard::PreparedCommit;
 use crate::store::VersionedStore;
 use crate::types::{
-    AnnotatedIter, DiffResult, EngineKind, MergePolicy, MergeResult, PosAnnotatedIter,
-    PosRecordIter, RecordIter, StoreStats, VersionRef,
+    AnnotatedIter, AnnotatedSlotCursor, DiffResult, EngineKind, MergePolicy, MergeResult,
+    RecordIter, SlotCursor, StoreStats, VersionRef,
 };
 
 /// One hybrid segment: heap file + local bitmap index + per-branch commit
@@ -893,15 +892,20 @@ impl VersionedStore for HybridEngine {
         version: VersionRef,
         plan: &ScanPlan,
         from: u64,
-    ) -> Result<PosRecordIter<'_>> {
-        // Resume tokens pack (segment id, slot + 1); restarting is O(1):
-        // whole segments before the token are skipped by id and the token
-        // segment's pipeline scan starts at the token slot's liveness word.
-        let bitmaps = self.version_bitmaps(version)?;
-        Ok(Box::new(HyPipelineScan::new(
-            self,
-            bitmaps,
-            plan.lower(),
+    ) -> Result<Box<dyn SlotCursor + '_>> {
+        let segs = self
+            .version_bitmaps(version)?
+            .into_iter()
+            .map(|(id, live)| Seg {
+                id,
+                heap: &self.segments[id.index()].heap,
+                live,
+                ann: (),
+            })
+            .collect();
+        Ok(Box::new(SegmentedScan::new(
+            segs,
+            plan.page_predicate(),
             from,
         )))
     }
@@ -911,12 +915,20 @@ impl VersionedStore for HybridEngine {
         branches: &[BranchId],
         plan: &ScanPlan,
         from: u64,
-    ) -> Result<PosAnnotatedIter<'_>> {
-        let splan = self.multi_scan_plan(branches)?;
-        Ok(Box::new(HyPipelineAnnotatedScan::new(
-            self,
-            splan,
-            plan.lower(),
+    ) -> Result<Box<dyn AnnotatedSlotCursor + '_>> {
+        let segs = self
+            .multi_scan_plan(branches)?
+            .into_iter()
+            .map(|(id, live, ann)| Seg {
+                id,
+                heap: &self.segments[id.index()].heap,
+                live,
+                ann,
+            })
+            .collect();
+        Ok(Box::new(ColumnAnnotatedScan::new(
+            segs,
+            plan.page_predicate(),
             from,
         )))
     }
@@ -1209,173 +1221,6 @@ impl Iterator for HyScan<'_> {
                 &self.engine.segments[seg.index()].heap,
                 bm.clone(),
             ));
-        }
-    }
-}
-
-/// Streaming pipeline scan over a version's per-segment bitmaps: one
-/// [`PipelineScan`] per segment, visited in segment-id order, with the
-/// plan's pushdown/projection applied inside each segment scan and
-/// `(segment, slot)` resume tokens (see
-/// [`HybridEngine::scan_pipeline`](VersionedStore::scan_pipeline)).
-struct HyPipelineScan<'a> {
-    engine: &'a HybridEngine,
-    segs: Vec<(SegmentId, Bitmap)>,
-    pos: usize,
-    low: LoweredPlan,
-    /// Slot to start at within the segment named by the resume token.
-    resume: (u32, u64),
-    inner: Option<PipelineScan<'a>>,
-}
-
-impl<'a> HyPipelineScan<'a> {
-    fn new(
-        engine: &'a HybridEngine,
-        mut segs: Vec<(SegmentId, Bitmap)>,
-        low: LoweredPlan,
-        from: u64,
-    ) -> Self {
-        let resume = seg_resume(from);
-        segs.retain(|(s, _)| s.raw() >= resume.0);
-        HyPipelineScan {
-            engine,
-            segs,
-            pos: 0,
-            low,
-            resume,
-            inner: None,
-        }
-    }
-
-    /// Opens the next segment's pipeline scan, honoring the resume slot
-    /// for the token's own segment.
-    fn open_next(&mut self) -> Option<()> {
-        let (seg, bm) = self.segs.get(self.pos)?;
-        self.pos += 1;
-        let start = if seg.raw() == self.resume.0 {
-            self.resume.1
-        } else {
-            0
-        };
-        self.inner = Some(PipelineScan::new(
-            &self.engine.segments[seg.index()].heap,
-            bm.clone(),
-            self.low.pred.clone(),
-            self.low.projection.clone(),
-            start,
-        ));
-        Some(())
-    }
-}
-
-impl Iterator for HyPipelineScan<'_> {
-    type Item = Result<(u64, Record)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(scan) = &mut self.inner {
-                for item in scan.by_ref() {
-                    let seg = self.segs[self.pos - 1].0;
-                    match item {
-                        Ok((idx, rec)) => {
-                            let rec = match &self.low.residual {
-                                Some(res) => match res.apply(rec) {
-                                    Some(rec) => rec,
-                                    None => continue,
-                                },
-                                None => rec,
-                            };
-                            return Some(Ok((seg_token(seg, idx), rec)));
-                        }
-                        Err(e) => return Some(Err(e)),
-                    }
-                }
-                self.inner = None;
-            }
-            self.open_next()?;
-        }
-    }
-}
-
-/// One planned segment of an annotated pipeline scan: the segment, its
-/// union liveness, and each requested branch's membership bitmap.
-type AnnotatedSegPlan = Vec<(SegmentId, Bitmap, Vec<(BranchId, Bitmap)>)>;
-
-/// Multi-branch variant of [`HyPipelineScan`]: one [`PipelineAnnotatedScan`]
-/// per planned segment.
-struct HyPipelineAnnotatedScan<'a> {
-    engine: &'a HybridEngine,
-    plan: AnnotatedSegPlan,
-    pos: usize,
-    low: LoweredPlan,
-    resume: (u32, u64),
-    inner: Option<PipelineAnnotatedScan<'a>>,
-}
-
-impl<'a> HyPipelineAnnotatedScan<'a> {
-    fn new(
-        engine: &'a HybridEngine,
-        mut plan: AnnotatedSegPlan,
-        low: LoweredPlan,
-        from: u64,
-    ) -> Self {
-        let resume = seg_resume(from);
-        plan.retain(|(s, _, _)| s.raw() >= resume.0);
-        HyPipelineAnnotatedScan {
-            engine,
-            plan,
-            pos: 0,
-            low,
-            resume,
-            inner: None,
-        }
-    }
-
-    fn open_next(&mut self) -> Option<()> {
-        let (seg, union, cols) = self.plan.get(self.pos)?;
-        self.pos += 1;
-        let start = if seg.raw() == self.resume.0 {
-            self.resume.1
-        } else {
-            0
-        };
-        self.inner = Some(PipelineAnnotatedScan::new(
-            &self.engine.segments[seg.index()].heap,
-            union.clone(),
-            cols.clone(),
-            self.low.pred.clone(),
-            self.low.projection.clone(),
-            start,
-        ));
-        Some(())
-    }
-}
-
-impl Iterator for HyPipelineAnnotatedScan<'_> {
-    type Item = Result<(u64, Record, Vec<BranchId>)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(scan) = &mut self.inner {
-                for item in scan.by_ref() {
-                    let seg = self.plan[self.pos - 1].0;
-                    match item {
-                        Ok((idx, rec, live)) => {
-                            let rec = match &self.low.residual {
-                                Some(res) => match res.apply(rec) {
-                                    Some(rec) => rec,
-                                    None => continue,
-                                },
-                                None => rec,
-                            };
-                            return Some(Ok((seg_token(seg, idx), rec, live)));
-                        }
-                        Err(e) => return Some(Err(e)),
-                    }
-                }
-                self.inner = None;
-            }
-            self.open_next()?;
         }
     }
 }

@@ -8,30 +8,30 @@
 
 use decibel_bitmap::Bitmap;
 use decibel_common::ids::{BranchId, RecordIdx, SegmentId};
-use decibel_common::projection::Projection;
 use decibel_common::record::Record;
 use decibel_common::Result;
 use decibel_pagestore::{HeapFile, PinnedCursor};
 
 use crate::query::plan::PagePredicate;
+use crate::types::{AnnotatedSlot, AnnotatedSlotCursor, SlotCursor};
 
 /// Bits of a segmented resume token holding the `slot + 1` part; the
 /// segment id occupies the bits above. 2^40 slots per segment is far
 /// beyond any heap the segmented engines address, so the packing is
 /// lossless in practice (and `debug_assert`ed).
-pub(crate) const SEG_SLOT_BITS: u32 = 40;
-pub(crate) const SEG_SLOT_MASK: u64 = (1 << SEG_SLOT_BITS) - 1;
+const SEG_SLOT_BITS: u32 = 40;
+const SEG_SLOT_MASK: u64 = (1 << SEG_SLOT_BITS) - 1;
 
 /// Packs a `(segment, slot)` scan position into an opaque resume token.
 #[inline]
-pub(crate) fn seg_token(seg: SegmentId, slot: u64) -> u64 {
+fn seg_token(seg: SegmentId, slot: u64) -> u64 {
     debug_assert!(slot < SEG_SLOT_MASK);
     ((seg.raw() as u64) << SEG_SLOT_BITS) | (slot + 1)
 }
 
 /// Splits a resume token into (first segment id, first slot within it).
 #[inline]
-pub(crate) fn seg_resume(from: u64) -> (u32, u64) {
+fn seg_resume(from: u64) -> (u32, u64) {
     ((from >> SEG_SLOT_BITS) as u32, from & SEG_SLOT_MASK)
 }
 
@@ -89,17 +89,17 @@ impl Iterator for BitmapScan<'_> {
     }
 }
 
-/// The projected, predicate-pushed variant of [`BitmapScan`]: the scan
-/// pipeline's workhorse for tuple-first and hybrid scans.
+/// The predicate-pushed, slot-yielding variant of [`BitmapScan`]: one
+/// heap's share of a planned scan.
 ///
 /// Liveness words are refined *lazily*, one 64-slot chunk at a time: when
 /// the scan advances to the next nonzero liveness word it runs the lowered
 /// predicate against the pinned page bytes of just that chunk
 /// ([`PagePredicate::eval_word`]) and walks the resulting match word — so
-/// filtering never materializes a record, chunks the stream has not
-/// reached cost nothing (flow-controlled cursors stop mid-bitmap), and
-/// matching rows decode only their projected columns
-/// ([`PinnedCursor::read_projected`]).
+/// filtering never materializes a record and chunks the stream has not
+/// reached cost nothing (flow-controlled cursors stop mid-bitmap). A
+/// matching row is handed out as its slot bytes on the pinned page
+/// ([`PipelineScan::slot`]); decoding, if any, is the consumer's.
 ///
 /// `from` makes resumption O(1): the scan starts at the liveness word
 /// containing slot `from` with the lower bits of that word masked off, so
@@ -108,48 +108,36 @@ impl Iterator for BitmapScan<'_> {
 pub struct PipelineScan<'a> {
     cursor: PinnedCursor<'a>,
     bm: Bitmap,
-    pred: Option<PagePredicate>,
-    projection: Projection,
     word_idx: usize,
     /// Word containing `from`; its sub-`from` bits are masked out.
     start_word: usize,
     start_mask: u64,
     base: u64,
     cur: u64,
-    done: bool,
 }
 
 impl<'a> PipelineScan<'a> {
     /// Creates a pipeline scan over `heap` restricted to set bits of `bm`
-    /// at or past slot `from`, filtering chunks through `pred` (`None`
-    /// means no filtering) and decoding only `projection`'s columns.
-    pub fn new(
-        heap: &'a HeapFile,
-        bm: Bitmap,
-        pred: Option<PagePredicate>,
-        projection: Projection,
-        from: u64,
-    ) -> Self {
+    /// at or past slot `from`.
+    pub fn new(heap: &'a HeapFile, bm: Bitmap, from: u64) -> Self {
         PipelineScan {
             cursor: heap.pinned_cursor(),
             bm,
-            pred,
-            projection,
             word_idx: (from / 64) as usize,
             start_word: (from / 64) as usize,
             start_mask: u64::MAX << (from % 64),
             base: 0,
             cur: 0,
-            done: false,
         }
     }
 
-    /// Advances to the next chunk with a candidate, filling `cur` with its
-    /// match word. Returns `false` at end of bitmap, `Err` on IO failure.
-    fn advance_chunk(&mut self) -> Result<bool> {
+    /// Advances to the next live slot passing `pred` and returns its
+    /// index, or `None` at the end of the bitmap.
+    #[inline]
+    pub fn advance(&mut self, pred: &PagePredicate) -> Result<Option<u64>> {
         while self.cur == 0 {
             if self.word_idx >= self.bm.num_words() {
-                return Ok(false);
+                return Ok(None);
             }
             let mut w = self.bm.word(self.word_idx);
             if self.word_idx == self.start_word {
@@ -157,95 +145,161 @@ impl<'a> PipelineScan<'a> {
             }
             if w != 0 {
                 self.base = self.word_idx as u64 * 64;
-                self.cur = match &self.pred {
-                    Some(p) => p.eval_word(&mut self.cursor, self.base, w)?,
-                    None => w,
-                };
+                self.cur = pred.eval_word(&mut self.cursor, self.base, w)?;
             }
             self.word_idx += 1;
         }
-        Ok(true)
-    }
-}
-
-impl Iterator for PipelineScan<'_> {
-    /// `(slot index, projected record)`; the slot index is the engine's
-    /// O(1) resume position (pass `idx + 1` as `from` to continue after).
-    type Item = Result<(u64, Record)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        match self.advance_chunk() {
-            Ok(false) => {
-                self.done = true;
-                return None;
-            }
-            Err(e) => {
-                self.done = true;
-                return Some(Err(e));
-            }
-            Ok(true) => {}
-        }
         let idx = self.base + self.cur.trailing_zeros() as u64;
         self.cur &= self.cur - 1;
-        Some(
-            self.cursor
-                .read_projected(idx, &self.projection)
-                .map(|r| (idx, r)),
-        )
+        Ok(Some(idx))
+    }
+
+    /// The bytes of slot `idx` on the pinned page (already pinned when
+    /// `idx` is what [`PipelineScan::advance`] just returned).
+    #[inline]
+    pub fn slot(&mut self, idx: u64) -> Result<&[u8]> {
+        self.cursor.slot_bytes(idx)
     }
 }
 
-/// The projected, predicate-pushed variant of [`AnnotatedScan`]: like
-/// [`PipelineScan`] but annotating each row with the branches whose
-/// liveness column has its bit set, from per-chunk cached column words.
-pub struct PipelineAnnotatedScan<'a> {
-    inner: PipelineScan<'a>,
-    cols: Vec<(BranchId, Bitmap)>,
-    col_words: Vec<u64>,
-    /// Word index the cached `col_words` belong to (`usize::MAX` = none).
-    cached_word: usize,
+/// One heap of a planned scan: its id (the high half of the rows' resume
+/// tokens), the liveness bitmap to walk, and whatever the scan needs to
+/// annotate that heap's rows with (`()` for single-version scans).
+pub struct Seg<'a, A = ()> {
+    pub id: SegmentId,
+    pub heap: &'a HeapFile,
+    pub live: Bitmap,
+    pub ann: A,
 }
 
-impl<'a> PipelineAnnotatedScan<'a> {
-    /// Creates a scan over `heap` driven by `union` from slot `from`,
-    /// filtering through `pred` and annotating from the per-branch `cols`.
+/// The engines' planned scan: one [`PipelineScan`] per [`Seg`], visited in
+/// the order given (ascending segment id), with `(segment, slot)` resume
+/// tokens ([`seg_token`]) — restarting is O(1): whole segments before the
+/// token are dropped by id and the token's own segment starts at the token
+/// slot's liveness word. Tuple-first is the one-segment case (segment 0,
+/// so its tokens are `slot + 1`).
+pub struct SegmentedScan<'a, A = ()> {
+    segs: Vec<Seg<'a, A>>,
+    /// Segments opened so far; `segs[opened - 1]` feeds `inner`.
+    opened: usize,
+    pred: PagePredicate,
+    resume: (u32, u64),
+    inner: Option<PipelineScan<'a>>,
+}
+
+impl<'a, A> SegmentedScan<'a, A> {
+    /// Plans a scan of `segs` filtered through `pred`, resuming after the
+    /// row whose token is `from` (`0` = from the start).
+    pub fn new(mut segs: Vec<Seg<'a, A>>, pred: PagePredicate, from: u64) -> Self {
+        let resume = seg_resume(from);
+        segs.retain(|s| s.id.raw() >= resume.0);
+        SegmentedScan {
+            segs,
+            opened: 0,
+            pred,
+            resume,
+            inner: None,
+        }
+    }
+
+    /// Advances to the next matching row: `(position of its segment, slot
+    /// index)`, to be passed to [`SegmentedScan::row`].
+    #[inline]
+    pub fn advance(&mut self) -> Result<Option<(usize, u64)>> {
+        loop {
+            if let Some(scan) = &mut self.inner {
+                if let Some(idx) = scan.advance(&self.pred)? {
+                    return Ok(Some((self.opened - 1, idx)));
+                }
+                self.inner = None;
+            }
+            let Some(seg) = self.segs.get_mut(self.opened) else {
+                return Ok(None);
+            };
+            self.opened += 1;
+            let start = if seg.id.raw() == self.resume.0 {
+                self.resume.1
+            } else {
+                0
+            };
+            self.inner = Some(PipelineScan::new(
+                seg.heap,
+                std::mem::take(&mut seg.live),
+                start,
+            ));
+        }
+    }
+
+    /// The row [`SegmentedScan::advance`] just returned: its resume token,
+    /// its slot bytes on the pinned page, and its segment's annotation.
+    #[inline]
+    pub fn row(&mut self, pos: usize, idx: u64) -> Result<(u64, &[u8], &A)> {
+        let seg = &self.segs[pos];
+        let scan = self.inner.as_mut().expect("row follows advance");
+        Ok((seg_token(seg.id, idx), scan.slot(idx)?, &seg.ann))
+    }
+}
+
+impl SlotCursor for SegmentedScan<'_> {
+    fn next_slot(&mut self) -> Result<Option<(u64, &[u8])>> {
+        let Some((pos, idx)) = self.advance()? else {
+            return Ok(None);
+        };
+        let (token, slot, ()) = self.row(pos, idx)?;
+        Ok(Some((token, slot)))
+    }
+}
+
+/// Multi-branch [`SegmentedScan`] for the bitmap engines: each segment is
+/// driven by the union of the requested branches' columns and annotated
+/// with the branches whose column has the row's bit set, from per-chunk
+/// cached column words into a reused buffer.
+pub struct ColumnAnnotatedScan<'a> {
+    scan: SegmentedScan<'a, Vec<(BranchId, Bitmap)>>,
+    col_words: Vec<u64>,
+    /// `(segment position, word index)` the cached `col_words` belong to.
+    cached: (usize, usize),
+    live: Vec<BranchId>,
+}
+
+impl<'a> ColumnAnnotatedScan<'a> {
+    /// Plans the scan; each segment's `live` is the union of its `ann`
+    /// columns.
     pub fn new(
-        heap: &'a HeapFile,
-        union: Bitmap,
-        cols: Vec<(BranchId, Bitmap)>,
-        pred: Option<PagePredicate>,
-        projection: Projection,
+        segs: Vec<Seg<'a, Vec<(BranchId, Bitmap)>>>,
+        pred: PagePredicate,
         from: u64,
     ) -> Self {
-        PipelineAnnotatedScan {
-            inner: PipelineScan::new(heap, union, pred, projection, from),
-            col_words: vec![0; cols.len()],
-            cols,
-            cached_word: usize::MAX,
+        ColumnAnnotatedScan {
+            scan: SegmentedScan::new(segs, pred, from),
+            col_words: Vec::new(),
+            cached: (usize::MAX, usize::MAX),
+            live: Vec::new(),
         }
     }
 }
 
-impl Iterator for PipelineAnnotatedScan<'_> {
-    /// `(slot index, projected record, containing branches)`.
-    type Item = Result<(u64, Record, Vec<BranchId>)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let item = self.inner.next()?;
-        Some(item.map(|(idx, rec)| {
-            let wi = (idx / 64) as usize;
-            if wi != self.cached_word {
-                for (j, (_, col)) in self.cols.iter().enumerate() {
-                    self.col_words[j] = col.word(wi);
-                }
-                self.cached_word = wi;
+impl AnnotatedSlotCursor for ColumnAnnotatedScan<'_> {
+    fn next_slot(&mut self) -> Result<Option<AnnotatedSlot<'_>>> {
+        let Some((pos, idx)) = self.scan.advance()? else {
+            return Ok(None);
+        };
+        let (token, slot, cols) = self.scan.row(pos, idx)?;
+        let wi = (idx / 64) as usize;
+        if self.cached != (pos, wi) {
+            self.col_words.clear();
+            self.col_words
+                .extend(cols.iter().map(|(_, col)| col.word(wi)));
+            self.cached = (pos, wi);
+        }
+        let bit = (idx % 64) as u32;
+        self.live.clear();
+        for (&(b, _), w) in cols.iter().zip(&self.col_words) {
+            if w >> bit & 1 == 1 {
+                self.live.push(b);
             }
-            let live = live_branches(&self.cols, &self.col_words, (idx % 64) as u32);
-            (idx, rec, live)
-        }))
+        }
+        Ok(Some((token, slot, &self.live)))
     }
 }
 
@@ -518,24 +572,45 @@ mod tests {
         assert_eq!(out, streamed);
     }
 
+    /// Drains a planned single-heap scan into `(token, projected record)`.
+    fn drain(
+        heap: &HeapFile,
+        bm: Bitmap,
+        pred: &crate::query::Predicate,
+        proj: &decibel_common::Projection,
+        from: u64,
+    ) -> Vec<(u64, Record)> {
+        let seg = Seg {
+            id: SegmentId(0),
+            heap,
+            live: bm,
+            ann: (),
+        };
+        let mut scan = SegmentedScan::new(vec![seg], PagePredicate::lower(pred), from);
+        let mut out = Vec::new();
+        while let Some((token, slot)) = scan.next_slot().unwrap() {
+            out.push((
+                token,
+                Record::read_projected(heap.schema(), slot, proj).unwrap(),
+            ));
+        }
+        out
+    }
+
     #[test]
     fn pipeline_scan_matches_filter_then_project() {
         use crate::query::Predicate;
         use decibel_common::Projection;
         let (_d, _p, heap, union, _cols) = annotated_fixture();
         let pred = Predicate::ColMod(0, 5, 0).and(Predicate::KeyRange(10, 120));
-        let pp = PagePredicate::lower(&pred).unwrap();
         let proj = Projection::of(&[1]);
-        let got: Vec<(u64, Record)> =
-            PipelineScan::new(&heap, union.clone(), Some(pp), proj.clone(), 0)
-                .collect::<Result<_>>()
-                .unwrap();
+        let got = drain(&heap, union.clone(), &pred, &proj, 0);
         let expect: Vec<(u64, Record)> = BitmapScan::new(&heap, union)
             .map(|r| r.unwrap())
             .filter(|(_, rec)| pred.eval(rec))
             .map(|(idx, mut rec)| {
                 rec.project(&proj);
-                (idx.raw(), rec)
+                (idx.raw() + 1, rec)
             })
             .collect();
         assert_eq!(got, expect);
@@ -548,27 +623,10 @@ mod tests {
         use decibel_common::Projection;
         let (_d, _p, heap, union, _cols) = annotated_fixture();
         let pred = Predicate::ColMod(0, 3, 1);
-        let all: Vec<(u64, Record)> = PipelineScan::new(
-            &heap,
-            union.clone(),
-            PagePredicate::lower(&pred),
-            Projection::All,
-            0,
-        )
-        .collect::<Result<_>>()
-        .unwrap();
-        // Resuming at idx+1 after any yielded row returns exactly the rest.
+        let all = drain(&heap, union.clone(), &pred, &Projection::All, 0);
+        // Resuming from any yielded row's token returns exactly the rest.
         for cut in 0..all.len() {
-            let from = all[cut].0 + 1;
-            let rest: Vec<(u64, Record)> = PipelineScan::new(
-                &heap,
-                union.clone(),
-                PagePredicate::lower(&pred),
-                Projection::All,
-                from,
-            )
-            .collect::<Result<_>>()
-            .unwrap();
+            let rest = drain(&heap, union.clone(), &pred, &Projection::All, all[cut].0);
             assert_eq!(rest, all[cut + 1..], "resume after row {cut}");
         }
     }
@@ -580,16 +638,18 @@ mod tests {
         let (_d, _p, heap, union, cols) = annotated_fixture();
         let pred = Predicate::KeyRange(20, 130);
         let proj = Projection::of(&[0, 2]);
-        let got: Vec<(u64, Record, Vec<BranchId>)> = PipelineAnnotatedScan::new(
-            &heap,
-            union.clone(),
-            cols.clone(),
-            PagePredicate::lower(&pred),
-            proj.clone(),
-            0,
-        )
-        .collect::<Result<_>>()
-        .unwrap();
+        let seg = Seg {
+            id: SegmentId(0),
+            heap: &heap,
+            live: union.clone(),
+            ann: cols.clone(),
+        };
+        let mut scan = ColumnAnnotatedScan::new(vec![seg], PagePredicate::lower(&pred), 0);
+        let mut got = Vec::new();
+        while let Some((token, slot, live)) = scan.next_slot().unwrap() {
+            let rec = Record::read_projected(heap.schema(), slot, &proj).unwrap();
+            got.push((token - 1, rec, live.to_vec()));
+        }
         let expect: Vec<(u64, Record, Vec<BranchId>)> = AnnotatedScan::new(&heap, union, cols)
             .map(|r| r.unwrap())
             .filter(|(_, rec, _)| pred.eval(rec))

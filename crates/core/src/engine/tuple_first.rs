@@ -31,7 +31,7 @@ use std::sync::Arc;
 use decibel_bitmap::{Bitmap, BranchBitmapIndex, CommitStore, TupleBitmapIndex, VersionIndex};
 use decibel_common::error::{DbError, Result};
 use decibel_common::hash::FxHashMap;
-use decibel_common::ids::{BranchId, CommitId, RecordIdx};
+use decibel_common::ids::{BranchId, CommitId, RecordIdx, SegmentId};
 use decibel_common::record::Record;
 use decibel_common::schema::Schema;
 use decibel_common::varint;
@@ -42,14 +42,14 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::checkpoint;
 use crate::engine::pk::{self, HeapRows, PkIndex};
-use crate::engine::scan::{AnnotatedScan, BitmapScan, PipelineAnnotatedScan, PipelineScan};
+use crate::engine::scan::{AnnotatedScan, BitmapScan, ColumnAnnotatedScan, Seg, SegmentedScan};
 use crate::merge::{plan_merge, ChangeSet, MergeAction};
 use crate::query::plan::ScanPlan;
 use crate::shard::PreparedCommit;
 use crate::store::VersionedStore;
 use crate::types::{
-    AnnotatedIter, DiffResult, EngineKind, MergePolicy, MergeResult, PosAnnotatedIter,
-    PosRecordIter, RecordIter, StoreStats, VersionRef,
+    AnnotatedIter, AnnotatedSlotCursor, DiffResult, EngineKind, MergePolicy, MergeResult,
+    RecordIter, SlotCursor, StoreStats, VersionRef,
 };
 
 /// Maps an index orientation to its [`EngineKind`] label.
@@ -270,6 +270,22 @@ impl<I: IndexOrientation> TupleFirstEngine<I> {
         }
     }
 
+    /// The requested branches' liveness columns and their union — the plan
+    /// of a multi-branch scan.
+    fn union_columns(&self, branches: &[BranchId]) -> Result<(Bitmap, Vec<(BranchId, Bitmap)>)> {
+        let graph = self.graph.read();
+        let index = self.index.read();
+        let mut union = Bitmap::zeros(index.num_rows());
+        let mut columns = Vec::with_capacity(branches.len());
+        for &b in branches {
+            graph.branch(b)?;
+            let col = index.branch_bitmap(b);
+            union.or_assign(&col);
+            columns.push((b, col));
+        }
+        Ok((union, columns))
+    }
+
     /// Snapshots `branch`'s head column into its history file, returning
     /// the snapshot's ordinal. The per-branch half of a commit: concurrent
     /// with other branches' prepares.
@@ -484,18 +500,7 @@ impl<I: IndexOrientation> VersionedStore for TupleFirstEngine<I> {
         // pass over the heap driven by the union bitmap, annotating each
         // record from cached per-branch column words (64 liveness bits per
         // step, not one `get` per branch per row).
-        let graph = self.graph.read();
-        let index = self.index.read();
-        let mut union = Bitmap::zeros(index.num_rows());
-        let mut columns = Vec::with_capacity(branches.len());
-        for &b in branches {
-            graph.branch(b)?;
-            let col = index.branch_bitmap(b);
-            union.or_assign(&col);
-            columns.push((b, col));
-        }
-        drop(index);
-        drop(graph);
+        let (union, columns) = self.union_columns(branches)?;
         Ok(Box::new(
             AnnotatedScan::new(&self.heap, union, columns)
                 .map(|item| item.map(|(_, rec, live)| (rec, live))),
@@ -507,20 +512,19 @@ impl<I: IndexOrientation> VersionedStore for TupleFirstEngine<I> {
         version: VersionRef,
         plan: &ScanPlan,
         from: u64,
-    ) -> Result<PosRecordIter<'_>> {
-        // Resume tokens are heap slot indexes + 1: the pipeline scan
-        // restarts at the liveness word containing `from` (O(1)), so
-        // flow-controlled cursors never re-walk the consumed prefix.
-        let bm = self.version_bitmap(version)?;
-        let low = plan.lower();
-        let scan = PipelineScan::new(&self.heap, bm, low.pred, low.projection, from);
-        match low.residual {
-            None => Ok(Box::new(scan.map(|r| r.map(|(idx, rec)| (idx + 1, rec))))),
-            Some(res) => Ok(Box::new(scan.filter_map(move |r| match r {
-                Ok((idx, rec)) => res.apply(rec).map(|rec| Ok((idx + 1, rec))),
-                Err(e) => Some(Err(e)),
-            }))),
-        }
+    ) -> Result<Box<dyn SlotCursor + '_>> {
+        // One heap = one segment (id 0), so resume tokens are slot + 1.
+        let seg = Seg {
+            id: SegmentId(0),
+            heap: &self.heap,
+            live: self.version_bitmap(version)?,
+            ann: (),
+        };
+        Ok(Box::new(SegmentedScan::new(
+            vec![seg],
+            plan.page_predicate(),
+            from,
+        )))
     }
 
     fn multi_scan_pipeline(
@@ -528,31 +532,19 @@ impl<I: IndexOrientation> VersionedStore for TupleFirstEngine<I> {
         branches: &[BranchId],
         plan: &ScanPlan,
         from: u64,
-    ) -> Result<PosAnnotatedIter<'_>> {
-        let graph = self.graph.read();
-        let index = self.index.read();
-        let mut union = Bitmap::zeros(index.num_rows());
-        let mut columns = Vec::with_capacity(branches.len());
-        for &b in branches {
-            graph.branch(b)?;
-            let col = index.branch_bitmap(b);
-            union.or_assign(&col);
-            columns.push((b, col));
-        }
-        drop(index);
-        drop(graph);
-        let low = plan.lower();
-        let scan =
-            PipelineAnnotatedScan::new(&self.heap, union, columns, low.pred, low.projection, from);
-        match low.residual {
-            None => Ok(Box::new(
-                scan.map(|r| r.map(|(idx, rec, live)| (idx + 1, rec, live))),
-            )),
-            Some(res) => Ok(Box::new(scan.filter_map(move |r| match r {
-                Ok((idx, rec, live)) => res.apply(rec).map(|rec| Ok((idx + 1, rec, live))),
-                Err(e) => Some(Err(e)),
-            }))),
-        }
+    ) -> Result<Box<dyn AnnotatedSlotCursor + '_>> {
+        let (union, columns) = self.union_columns(branches)?;
+        let seg = Seg {
+            id: SegmentId(0),
+            heap: &self.heap,
+            live: union,
+            ann: columns,
+        };
+        Ok(Box::new(ColumnAnnotatedScan::new(
+            vec![seg],
+            plan.page_predicate(),
+            from,
+        )))
     }
 
     fn diff(&self, left: VersionRef, right: VersionRef) -> Result<DiffResult> {

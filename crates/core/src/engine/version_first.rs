@@ -43,14 +43,14 @@ use decibel_vgraph::VersionGraph;
 use parking_lot::RwLock;
 
 use crate::checkpoint;
-use crate::engine::scan::{seg_resume, seg_token, BitmapScan, PipelineScan};
+use crate::engine::scan::{BitmapScan, Seg, SegmentedScan};
 use crate::merge::{plan_merge, ChangeSet, MergeAction};
-use crate::query::plan::{LoweredPlan, ScanPlan};
+use crate::query::plan::{PagePredicate, ScanPlan};
 use crate::shard::PreparedCommit;
 use crate::store::VersionedStore;
 use crate::types::{
-    AnnotatedIter, DiffResult, EngineKind, MergePolicy, MergeResult, PosAnnotatedIter,
-    PosRecordIter, RecordIter, StoreStats, VersionRef,
+    AnnotatedIter, AnnotatedSlot, AnnotatedSlotCursor, DiffResult, EngineKind, MergePolicy,
+    MergeResult, RecordIter, SlotCursor, StoreStats, VersionRef,
 };
 
 /// One segment file: a heap of appended records plus branch points into its
@@ -708,14 +708,14 @@ impl VersionedStore for VersionFirstEngine {
         version: VersionRef,
         plan: &ScanPlan,
         from: u64,
-    ) -> Result<PosRecordIter<'_>> {
+    ) -> Result<Box<dyn SlotCursor + '_>> {
         let start = self.resolve(version)?;
-        Ok(Box::new(VfPipelineScan {
+        Ok(Box::new(VfSlotScan {
             engine: self,
             order: self.scan_order(start),
             next_portion: 0,
             cur: None,
-            low: plan.lower(),
+            pred: plan.page_predicate(),
             emitted: FxHashSet::default(),
             visited: 0,
             from,
@@ -727,23 +727,29 @@ impl VersionedStore for VersionFirstEngine {
         branches: &[BranchId],
         plan: &ScanPlan,
         from: u64,
-    ) -> Result<PosAnnotatedIter<'_>> {
+    ) -> Result<Box<dyn AnnotatedSlotCursor + '_>> {
         // Pass 1 (the shadowing resolution) cannot be narrowed by the
         // predicate — a failing row still shadows older copies of its key —
         // so it always runs in full; the pushdown accelerates pass 2, where
-        // winning slots are predicate-checked against pinned page bytes and
-        // only survivors decode their projected columns.
-        let mut segs = self.multi_scan_winners(branches)?;
-        let resume = seg_resume(from);
-        segs.retain(|(s, _, _)| s.raw() >= resume.0);
-        Ok(Box::new(VfPipelineAnnotatedScan {
-            engine: self,
+        // each segment's winner bitmap goes through the shared planned
+        // scan (lazy per-word predicate fusion, `(segment, slot)` tokens
+        // that resume mid-heap) and survivors are annotated from the
+        // winner map.
+        let segs = self
+            .multi_scan_winners(branches)?
+            .into_iter()
+            .map(|(id, live, ann)| Seg {
+                id,
+                heap: &self.seg(id).heap,
+                live,
+                ann,
+            })
+            .collect();
+        Ok(Box::new(VfAnnotatedScan(SegmentedScan::new(
             segs,
-            pos: 0,
-            low: plan.lower(),
-            resume,
-            inner: None,
-        }))
+            plan.page_predicate(),
+            from,
+        ))))
     }
 
     fn diff(&self, left: VersionRef, right: VersionRef) -> Result<DiffResult> {
@@ -1008,71 +1014,53 @@ impl Iterator for VfMultiScan<'_> {
     }
 }
 
-/// Pipeline variant of [`VfScan`]: the emitted-set walk driven by key
+/// Planned variant of [`VfScan`]: the emitted-set walk driven by key
 /// peeks, with the lowered predicate evaluated per-slot against pinned
-/// page bytes and only passing rows materialized under the projection.
+/// page bytes; passing rows are yielded as their slot bytes.
 ///
 /// Version-first has no bitmap, so its resume tokens count *raw slots
 /// walked*: resuming replays the token's prefix with key peeks only — no
-/// field decode, no predicate work — to rebuild the shadowing set
-/// (O(prefix) metadata reads; the engines with liveness bitmaps resume in
-/// O(1) instead). Rows skipped during replay still enter the emitted set:
-/// a predicate-failing or already-delivered copy must keep shadowing older
-/// copies of its key.
-struct VfPipelineScan<'a> {
+/// predicate work — to rebuild the shadowing set (O(prefix) metadata
+/// reads; the engines with liveness bitmaps resume in O(1) instead). Rows
+/// skipped during replay still enter the emitted set: a predicate-failing
+/// or already-delivered copy must keep shadowing older copies of its key.
+struct VfSlotScan<'a> {
     engine: &'a VersionFirstEngine,
     order: Vec<(SegmentId, u64, u64)>,
     next_portion: usize,
     /// Current portion: `(cursor, lo, next)` — slots `[lo, next)` remain,
     /// visited in descending order.
     cur: Option<(PinnedCursor<'a>, u64, u64)>,
-    low: LoweredPlan,
+    pred: PagePredicate,
     emitted: FxHashSet<u64>,
     /// Raw slots walked so far; the resume token of an emitted row.
     visited: u64,
     from: u64,
 }
 
-impl Iterator for VfPipelineScan<'_> {
-    type Item = Result<(u64, Record)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
+impl VfSlotScan<'_> {
+    /// Walks to the next visible, passing slot of the current portion
+    /// chain and returns its index (its page is pinned by `cur`'s cursor).
+    fn advance(&mut self) -> Result<Option<u64>> {
         loop {
             if let Some((cursor, lo, next)) = &mut self.cur {
                 while *next > *lo {
                     *next -= 1;
                     let slot = *next;
                     self.visited += 1;
-                    let (key, tombstone) = match cursor.peek_key(slot) {
-                        Ok(kt) => kt,
-                        Err(e) => return Some(Err(e)),
-                    };
+                    let (key, tombstone) = cursor.peek_key(slot)?;
                     if !self.emitted.insert(key) || tombstone || self.visited <= self.from {
                         continue;
                     }
-                    if let Some(pred) = &self.low.pred {
-                        match pred.eval_slot(cursor, slot) {
-                            Ok(true) => {}
-                            Ok(false) => continue,
-                            Err(e) => return Some(Err(e)),
-                        }
+                    if self.pred.eval_slot(cursor, slot)? {
+                        return Ok(Some(slot));
                     }
-                    let rec = match cursor.read_projected(slot, &self.low.projection) {
-                        Ok(rec) => rec,
-                        Err(e) => return Some(Err(e)),
-                    };
-                    let rec = match &self.low.residual {
-                        Some(res) => match res.apply(rec) {
-                            Some(rec) => rec,
-                            None => continue,
-                        },
-                        None => rec,
-                    };
-                    return Some(Ok((self.visited, rec)));
                 }
                 self.cur = None;
             }
-            let &(seg, lo, hi) = self.order.get(self.next_portion)?;
+            let Some(&(seg, lo, hi)) = self.order.get(self.next_portion) else {
+                return Ok(None);
+            };
             self.next_portion += 1;
             let heap = &self.engine.seg(seg).heap;
             let hi = hi.min(heap.len()).max(lo);
@@ -1081,61 +1069,30 @@ impl Iterator for VfPipelineScan<'_> {
     }
 }
 
-/// Pipeline variant of [`VfMultiScan`]: pass 2 routes each segment's
-/// winner bitmap through a [`PipelineScan`] (lazy per-word predicate
-/// fusion + projected decode) and annotates survivors from the winner
-/// map. Tokens are `(segment, slot)`-packed, so pass 2 resumes mid-heap;
-/// pass 1 always reruns in full (see
-/// [`VersionFirstEngine::multi_scan_pipeline`](VersionedStore::multi_scan_pipeline)).
-struct VfPipelineAnnotatedScan<'a> {
-    engine: &'a VersionFirstEngine,
-    segs: Vec<(SegmentId, Bitmap, FxHashMap<u64, Vec<BranchId>>)>,
-    pos: usize,
-    low: LoweredPlan,
-    resume: (u32, u64),
-    inner: Option<PipelineScan<'a>>,
+impl SlotCursor for VfSlotScan<'_> {
+    fn next_slot(&mut self) -> Result<Option<(u64, &[u8])>> {
+        let Some(slot) = self.advance()? else {
+            return Ok(None);
+        };
+        let (cursor, _, _) = self.cur.as_mut().expect("advance left a portion open");
+        Ok(Some((self.visited, cursor.slot_bytes(slot)?)))
+    }
 }
 
-impl Iterator for VfPipelineAnnotatedScan<'_> {
-    type Item = Result<(u64, Record, Vec<BranchId>)>;
+/// Pass 2 of the planned multi-branch scan: the shared [`SegmentedScan`]
+/// over each segment's winner bitmap, annotated from its `slot → branches`
+/// winner map (see
+/// [`VersionFirstEngine::multi_scan_pipeline`](VersionedStore::multi_scan_pipeline)).
+struct VfAnnotatedScan<'a>(SegmentedScan<'a, FxHashMap<u64, Vec<BranchId>>>);
 
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(scan) = &mut self.inner {
-                for item in scan.by_ref() {
-                    let (seg, _, slots) = &self.segs[self.pos - 1];
-                    match item {
-                        Ok((idx, rec)) => {
-                            let rec = match &self.low.residual {
-                                Some(res) => match res.apply(rec) {
-                                    Some(rec) => rec,
-                                    None => continue,
-                                },
-                                None => rec,
-                            };
-                            let branches = slots.get(&idx).cloned().unwrap_or_default();
-                            return Some(Ok((seg_token(*seg, idx), rec, branches)));
-                        }
-                        Err(e) => return Some(Err(e)),
-                    }
-                }
-                self.inner = None;
-            }
-            let (seg, bm, _) = self.segs.get(self.pos)?;
-            self.pos += 1;
-            let start = if seg.raw() == self.resume.0 {
-                self.resume.1
-            } else {
-                0
-            };
-            self.inner = Some(PipelineScan::new(
-                &self.engine.seg(*seg).heap,
-                bm.clone(),
-                self.low.pred.clone(),
-                self.low.projection.clone(),
-                start,
-            ));
-        }
+impl AnnotatedSlotCursor for VfAnnotatedScan<'_> {
+    fn next_slot(&mut self) -> Result<Option<AnnotatedSlot<'_>>> {
+        let Some((pos, idx)) = self.0.advance()? else {
+            return Ok(None);
+        };
+        let (token, slot, winners) = self.0.row(pos, idx)?;
+        let live = winners.get(&idx).map_or(&[][..], Vec::as_slice);
+        Ok(Some((token, slot, live)))
     }
 }
 

@@ -283,8 +283,7 @@ impl<'a> MultiReadBuilder<'a> {
     }
 
     /// Counts the qualifying (record, branch-set) rows by streaming the
-    /// sequential scan with an empty projection (rows are counted, never
-    /// decoded) — the [`parallel`](MultiReadBuilder::parallel) hint (which
+    /// sequential scan (slots are counted, never decoded) — the [`parallel`](MultiReadBuilder::parallel) hint (which
     /// exists to parallelize materialization) does not apply here.
     pub fn count(self) -> Result<u64> {
         let MultiReadBuilder {
@@ -292,13 +291,11 @@ impl<'a> MultiReadBuilder<'a> {
         } = self;
         db.with_store(|store| {
             let branches = resolve(store, &sel);
-            let plan = crate::query::plan::ScanPlan::new(predicate, Projection::of(&[]));
+            let plan = crate::query::plan::ScanPlan::filter_only(predicate);
             let mut n = 0u64;
-            for item in store.multi_scan_pipeline(&branches, &plan, 0)? {
-                let (_, _, live) = item?;
-                if !live.is_empty() {
-                    n += 1;
-                }
+            let mut cursor = store.multi_scan_pipeline(&branches, &plan, 0)?;
+            while let Some((_, _, live)) = cursor.next_slot()? {
+                n += u64::from(!live.is_empty());
             }
             Ok(n)
         })

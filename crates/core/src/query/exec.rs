@@ -3,7 +3,7 @@
 use decibel_common::hash::FxHashMap;
 use decibel_common::ids::BranchId;
 use decibel_common::record::Record;
-use decibel_common::{DbError, Projection, Result};
+use decibel_common::{DbError, Result};
 use decibel_obs::{family, Counter, Histogram, Registry};
 
 use crate::query::plan::ScanPlan;
@@ -13,10 +13,13 @@ use crate::store::VersionedStore;
 /// Read-path instruments (the `scan` metric family), shared by the
 /// materializing executor and the chunked cursors.
 ///
-/// `rows_scanned` counts rows the engine pipelines yielded to the query
+/// `rows_scanned` counts slots the engine pipelines yielded to the query
 /// layer (candidates that survived page-level filtering, including rows a
 /// later liveness/overlay check drops); `rows_emitted` counts rows actually
-/// returned to the caller. Their ratio is the post-pipeline selectivity;
+/// returned to the caller. Every planned scan counts under
+/// `plans_pushdown`; `plans_full_decode` counts the materializing
+/// `.parallel(n)` multi-branch scans, which decode whole records and filter
+/// afterwards. Their ratio is the post-pipeline selectivity;
 /// `selectivity_pct` records it per materialized query. Counting happens in
 /// per-query locals and is flushed to the shared counters once per query
 /// (or once per cursor chunk), so the per-row cost is a register increment.
@@ -57,15 +60,6 @@ impl ScanMetrics {
             plans_full_decode: Counter::detached(),
             query_us: Histogram::detached(),
             selectivity_pct: Histogram::detached(),
-        }
-    }
-
-    /// Records which way a scan plan lowered (once per scan, at planning).
-    pub(crate) fn plan_lowered(&self, pushdown: bool) {
-        if pushdown {
-            self.plans_pushdown.inc();
-        } else {
-            self.plans_full_decode.inc();
         }
     }
 
@@ -121,10 +115,11 @@ impl QueryOutput {
 ///
 /// Scan-shaped queries (`ScanVersion`, `HeadScan`, `MultiBranchScan`,
 /// `Aggregate`) route through the planned pipeline
-/// ([`VersionedStore::scan_pipeline`]): fixed-width predicates are
-/// evaluated against pinned page bytes and only the projected column set
-/// is decoded. Aggregates project just the aggregated column (nothing at
-/// all for `Count`).
+/// ([`VersionedStore::scan_pipeline`]): predicates are evaluated against
+/// pinned page bytes and each surviving slot is decoded here, under the
+/// query's projection ([`Record::read_projected`]). Aggregates build no
+/// record at all: `Count` only counts slots, the others read the one
+/// aggregated field off the slot.
 pub fn execute(store: &dyn VersionedStore, query: &Query) -> Result<QueryOutput> {
     execute_metered(store, query, &ScanMetrics::detached())
 }
@@ -148,13 +143,14 @@ pub fn execute_metered(
         } => {
             projection.validate(store.schema())?;
             let plan = ScanPlan::new(predicate.clone(), projection.clone());
-            m.plan_lowered(plan.page_predicate().is_some());
+            m.plans_pushdown.inc();
+            let schema = store.schema();
             let mut out = Vec::new();
-            for item in store.scan_pipeline(*version, &plan, 0)? {
-                let (_, rec) = item?;
-                scanned += 1;
-                out.push(rec);
+            let mut cursor = store.scan_pipeline(*version, &plan, 0)?;
+            while let Some((_, slot)) = cursor.next_slot()? {
+                out.push(Record::read_projected(schema, slot, projection)?);
             }
+            scanned += out.len() as u64;
             QueryOutput::Records(out)
         }
         Query::PositiveDiff { left, right } => {
@@ -200,16 +196,8 @@ pub fn execute_metered(
                 .map(|(b, _)| b)
                 .collect();
             let plan = ScanPlan::new(predicate.clone(), projection.clone());
-            m.plan_lowered(plan.page_predicate().is_some());
-            let mut out = Vec::new();
-            for item in store.multi_scan_pipeline(&branches, &plan, 0)? {
-                let (_, rec, live) = item?;
-                scanned += 1;
-                if !live.is_empty() {
-                    out.push((rec, live));
-                }
-            }
-            QueryOutput::Annotated(out)
+            m.plans_pushdown.inc();
+            QueryOutput::Annotated(collect_annotated(store, &branches, &plan, &mut scanned)?)
         }
         Query::MultiBranchScan {
             branches,
@@ -224,7 +212,7 @@ pub fn execute_metered(
                 // hybrid engine's work-stealing per-segment scan; other
                 // engines fall back to a materialized sequential scan).
                 // This path decodes whole records; filter + project after.
-                m.plan_lowered(false);
+                m.plans_full_decode.inc();
                 let rows = store.par_multi_scan(branches, *parallel)?;
                 scanned += rows.len() as u64;
                 QueryOutput::Annotated(
@@ -234,16 +222,8 @@ pub fn execute_metered(
                         .collect(),
                 )
             } else {
-                m.plan_lowered(plan.page_predicate().is_some());
-                let mut out = Vec::new();
-                for item in store.multi_scan_pipeline(branches, &plan, 0)? {
-                    let (_, rec, live) = item?;
-                    scanned += 1;
-                    if !live.is_empty() {
-                        out.push((rec, live));
-                    }
-                }
-                QueryOutput::Annotated(out)
+                m.plans_pushdown.inc();
+                QueryOutput::Annotated(collect_annotated(store, branches, &plan, &mut scanned)?)
             }
         }
         Query::Aggregate {
@@ -252,30 +232,23 @@ pub fn execute_metered(
             agg,
             predicate,
         } => {
-            // Decode only the aggregated column — nothing at all for a
-            // bare count (the predicate still sees every column through
-            // the page-level evaluator).
-            let projection = if *agg == AggKind::Count {
-                Projection::of(&[])
-            } else {
-                if *column >= store.schema().num_columns() {
-                    return Err(DbError::Invalid(format!(
-                        "aggregate column {column} out of range"
-                    )));
-                }
-                Projection::of(&[*column])
-            };
-            let plan = ScanPlan::new(predicate.clone(), projection);
-            m.plan_lowered(plan.page_predicate().is_some());
+            if *agg != AggKind::Count && *column >= store.schema().num_columns() {
+                return Err(DbError::Invalid(format!(
+                    "aggregate column {column} out of range"
+                )));
+            }
+            let plan = ScanPlan::filter_only(predicate.clone());
+            m.plans_pushdown.inc();
+            let schema = store.schema();
             let mut count = 0u64;
             let mut sum = 0f64;
             let mut min = f64::INFINITY;
             let mut max = f64::NEG_INFINITY;
-            for item in store.scan_pipeline(*version, &plan, 0)? {
-                let (_, rec) = item?;
+            let mut cursor = store.scan_pipeline(*version, &plan, 0)?;
+            while let Some((_, slot)) = cursor.next_slot()? {
                 count += 1;
                 if *agg != AggKind::Count {
-                    let v = rec.field(*column) as f64;
+                    let v = Record::read_raw_field(schema, slot, *column) as f64;
                     sum += v;
                     min = min.min(v);
                     max = max.max(v);
@@ -315,6 +288,27 @@ pub fn execute_metered(
     Ok(out)
 }
 
+/// Drains the sequential multi-branch pipeline into annotated records,
+/// adding the slots it yielded to `scanned`.
+fn collect_annotated(
+    store: &dyn VersionedStore,
+    branches: &[BranchId],
+    plan: &ScanPlan,
+    scanned: &mut u64,
+) -> Result<Vec<(Record, Vec<BranchId>)>> {
+    let schema = store.schema();
+    let mut out = Vec::new();
+    let mut cursor = store.multi_scan_pipeline(branches, plan, 0)?;
+    while let Some((_, slot, live)) = cursor.next_slot()? {
+        *scanned += 1;
+        if !live.is_empty() {
+            let rec = Record::read_projected(schema, slot, &plan.projection)?;
+            out.push((rec, live.to_vec()));
+        }
+    }
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,6 +317,7 @@ mod tests {
     use crate::types::VersionRef;
     use decibel_common::ids::BranchId;
     use decibel_common::schema::{ColumnType, Schema};
+    use decibel_common::Projection;
     use decibel_pagestore::StoreConfig;
 
     fn store() -> (tempfile::TempDir, TupleFirstBranchEngine, BranchId) {

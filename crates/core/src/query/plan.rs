@@ -9,15 +9,16 @@
 //! that fuse straight into the liveness words driving a scan
 //! ([`Bitmap::try_retain_words`](decibel_bitmap::Bitmap::try_retain_words)).
 //!
-//! # When pushdown applies
+//! # Pushdown always applies
 //!
-//! Every predicate whose atoms compare the key or a fixed-width data
-//! column against constants lowers ([`PagePredicate::lower`]); with the
-//! current [`Predicate`] grammar that is *all* of them. The engines keep a
-//! full-decode fallback (decode the record, [`Predicate::eval`], then
-//! [`Record::project`]) for any future predicate shape `lower` declines —
-//! the fallback is semantically the reference: the property tests assert
-//! pushdown ≡ full-decode-then-filter-then-project on every engine.
+//! Every atom of the [`Predicate`] grammar compares the key or a
+//! fixed-width data column against constants, so every predicate lowers
+//! ([`PagePredicate::lower`] is infallible) and the engines' planned scans
+//! have one path: filter slots on the page, yield the survivors' bytes.
+//! [`ScanPlan::apply`] (decode the record, [`Predicate::eval`], then
+//! [`Record::project`]) is the reference the property tests hold that path
+//! to, and what session-overlay rows — which never sat on a page — go
+//! through.
 
 use decibel_common::error::Result;
 use decibel_common::projection::Projection;
@@ -34,7 +35,8 @@ use super::predicate::Predicate;
 /// Non-projected fields of yielded records read as `0` (see [`Projection`]).
 #[derive(Debug, Clone, Default)]
 pub struct ScanPlan {
-    /// Row filter, kept in source form for the full-decode fallback.
+    /// Row filter, in source form (lowered per scan by
+    /// [`ScanPlan::page_predicate`]).
     pub predicate: Predicate,
     /// Columns the caller wants materialized.
     pub projection: Projection,
@@ -54,25 +56,15 @@ impl ScanPlan {
         ScanPlan::new(predicate, Projection::All)
     }
 
-    /// Lowers the filter for page-level evaluation, or `None` when the
-    /// engines must fall back to full decode.
-    pub fn page_predicate(&self) -> Option<PagePredicate> {
+    /// Lowers the filter for evaluation against pinned page bytes.
+    pub fn page_predicate(&self) -> PagePredicate {
         PagePredicate::lower(&self.predicate)
     }
 
-    /// The columns a scan must decode per matching row: just the
-    /// projection under pushdown (the predicate reads its columns off the
-    /// page, not off the record), everything under fallback.
-    pub fn decode_projection(&self) -> Projection {
-        if self.page_predicate().is_some() {
-            self.projection.clone()
-        } else {
-            Projection::All
-        }
-    }
-
-    /// Reference semantics: full-decode filter-then-project. The engines'
-    /// fallback path, and what the pushdown path must be equivalent to.
+    /// Reference semantics: full-decode filter-then-project — what the
+    /// pushdown path must be equivalent to, and how rows that are not on a
+    /// page (session overlays, the parallel scan's materialized rows) are
+    /// filtered.
     pub fn apply(&self, mut record: Record) -> Option<Record> {
         if self.predicate.eval(&record) {
             record.project(&self.projection);
@@ -81,37 +73,6 @@ impl ScanPlan {
             None
         }
     }
-
-    /// The engine-side lowering decision, made once per scan: under
-    /// pushdown, filter chunks with `pred` and decode only `projection`;
-    /// under fallback, decode everything and run the `residual` plan
-    /// (filter + project) on each materialized record.
-    pub fn lower(&self) -> LoweredPlan {
-        match self.page_predicate() {
-            Some(pred) => LoweredPlan {
-                pred: Some(pred),
-                projection: self.projection.clone(),
-                residual: None,
-            },
-            None => LoweredPlan {
-                pred: None,
-                projection: Projection::All,
-                residual: Some(self.clone()),
-            },
-        }
-    }
-}
-
-/// A [`ScanPlan`] resolved into what an engine's scan loop needs — see
-/// [`ScanPlan::lower`].
-pub struct LoweredPlan {
-    /// Page-level filter for the scan's chunk refinement (`None` under
-    /// fallback: no page-level filtering, every live slot decodes).
-    pub pred: Option<PagePredicate>,
-    /// Columns the scan decodes per surviving slot.
-    pub projection: Projection,
-    /// `Some` under fallback: apply to each decoded record.
-    pub residual: Option<ScanPlan>,
 }
 
 /// A row filter lowered for evaluation against pinned page bytes.
@@ -168,12 +129,9 @@ impl ColOp {
 }
 
 impl PagePredicate {
-    /// Lowers a [`Predicate`] for page-level evaluation. Returns `None`
-    /// when any atom cannot be evaluated against fixed-width page bytes
-    /// (no such atom exists in the current grammar, so this presently
-    /// always succeeds; the `Option` is the fallback contract).
-    pub fn lower(p: &Predicate) -> Option<PagePredicate> {
-        Some(match p {
+    /// Lowers a [`Predicate`] for page-level evaluation.
+    pub fn lower(p: &Predicate) -> PagePredicate {
+        match p {
             Predicate::True => PagePredicate::True,
             Predicate::KeyEq(k) => PagePredicate::KeyEq(*k),
             Predicate::KeyRange(lo, hi) => PagePredicate::KeyRange(*lo, *hi),
@@ -183,13 +141,13 @@ impl PagePredicate {
             Predicate::ColGe(c, v) => PagePredicate::Col(*c, ColOp::Ge(*v)),
             Predicate::ColMod(c, m, r) => PagePredicate::Col(*c, ColOp::Mod(*m, *r)),
             Predicate::And(a, b) => {
-                PagePredicate::And(Box::new(Self::lower(a)?), Box::new(Self::lower(b)?))
+                PagePredicate::And(Box::new(Self::lower(a)), Box::new(Self::lower(b)))
             }
             Predicate::Or(a, b) => {
-                PagePredicate::Or(Box::new(Self::lower(a)?), Box::new(Self::lower(b)?))
+                PagePredicate::Or(Box::new(Self::lower(a)), Box::new(Self::lower(b)))
             }
-            Predicate::Not(a) => PagePredicate::Not(Box::new(Self::lower(a)?)),
-        })
+            Predicate::Not(a) => PagePredicate::Not(Box::new(Self::lower(a))),
+        }
     }
 
     /// Evaluates one atom against slot `idx`.
@@ -299,7 +257,7 @@ mod tests {
     fn eval_word_matches_record_eval() {
         let (_d, heap) = heap_fixture();
         for p in preds() {
-            let pp = PagePredicate::lower(&p).unwrap();
+            let pp = PagePredicate::lower(&p);
             let mut cursor = heap.pinned_cursor();
             for (word_i, mask) in [
                 (0usize, u64::MAX),
@@ -335,7 +293,7 @@ mod tests {
     fn eval_slot_matches_record_eval() {
         let (_d, heap) = heap_fixture();
         for p in preds() {
-            let pp = PagePredicate::lower(&p).unwrap();
+            let pp = PagePredicate::lower(&p);
             let mut cursor = heap.pinned_cursor();
             for idx in 0..heap.len() {
                 let rec = heap.get(decibel_common::RecordIdx(idx)).unwrap();
@@ -356,13 +314,5 @@ mod tests {
             plan.apply(Record::new(1, vec![7, 11, 3])),
             Some(Record::new(1, vec![0, 11, 0]))
         );
-        assert!(plan.decode_projection() == Projection::of(&[1]));
-    }
-
-    #[test]
-    fn every_grammar_shape_lowers() {
-        for p in preds() {
-            assert!(PagePredicate::lower(&p).is_some(), "{p:?}");
-        }
     }
 }

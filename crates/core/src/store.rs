@@ -12,8 +12,8 @@ use decibel_vgraph::VersionGraph;
 use crate::query::plan::ScanPlan;
 use crate::shard::{PreparedCommit, SessionOp};
 use crate::types::{
-    AnnotatedIter, DiffResult, EngineKind, MergePolicy, MergeResult, PosAnnotatedIter,
-    PosRecordIter, RecordIter, StoreStats, VersionRef,
+    AnnotatedIter, AnnotatedSlotCursor, DiffResult, EngineKind, MergePolicy, MergeResult,
+    RecordIter, SlotCursor, StoreStats, VersionRef,
 };
 
 /// A versioned relational storage engine: the operations of §2.2.3
@@ -148,58 +148,36 @@ pub trait VersionedStore: Send + Sync {
     /// with the branches containing it (benchmark Query 4).
     fn multi_scan(&self, branches: &[BranchId]) -> Result<AnnotatedIter<'_>>;
 
-    /// Streams one version's live records through the planned scan
-    /// pipeline: rows failing `plan.predicate` are filtered out (at page
-    /// level when the predicate lowers, see
-    /// [`ScanPlan::page_predicate`](crate::query::plan::ScanPlan::page_predicate)),
-    /// surviving rows are materialized under `plan.projection`
-    /// (non-projected fields read `0`), and each row carries a resume
-    /// token: pass a yielded token back as `from` to continue immediately
-    /// after that row. `from = 0` starts from the beginning.
+    /// Streams one version's live rows through the planned scan pipeline,
+    /// as a lending cursor over **slot bytes on the pinned heap page**:
+    /// rows failing `plan.predicate` are filtered out at page level
+    /// ([`ScanPlan::page_predicate`](crate::query::plan::ScanPlan::page_predicate)),
+    /// and each surviving row is yielded undecoded, with a resume token —
+    /// pass a yielded token back as `from` to continue immediately after
+    /// that row. `from = 0` starts from the beginning.
     ///
-    /// The default implementation is the full-decode reference — drain
-    /// [`VersionedStore::scan`], skip, filter, project, with the raw item
-    /// count as the token; engines override it to decode only the
-    /// projected columns and to make resumption O(1).
+    /// This is the engines' one planned-scan primitive; everything that
+    /// wants records ([`execute`](crate::query::execute), the chunked
+    /// cursors) decodes the slot under `plan.projection` with
+    /// [`Record::read_projected`], and the server copies the slot's
+    /// projected image to the socket without building a `Record` at all.
     fn scan_pipeline(
         &self,
         version: VersionRef,
         plan: &ScanPlan,
         from: u64,
-    ) -> Result<PosRecordIter<'_>> {
-        let plan = plan.clone();
-        let iter = self
-            .scan(version)?
-            .enumerate()
-            .skip(from as usize)
-            .filter_map(move |(i, r)| match r {
-                Ok(rec) => plan.apply(rec).map(|rec| Ok((i as u64 + 1, rec))),
-                Err(e) => Some(Err(e)),
-            });
-        Ok(Box::new(iter))
-    }
+    ) -> Result<Box<dyn SlotCursor + '_>>;
 
     /// Multi-branch variant of [`VersionedStore::scan_pipeline`]: the
-    /// filtered, projected, resumable form of
-    /// [`VersionedStore::multi_scan`]. Branch annotations are computed
-    /// before filtering and are unaffected by the projection.
+    /// filtered, resumable form of [`VersionedStore::multi_scan`], each
+    /// slot annotated with the branches it is live in (computed before
+    /// filtering).
     fn multi_scan_pipeline(
         &self,
         branches: &[BranchId],
         plan: &ScanPlan,
         from: u64,
-    ) -> Result<PosAnnotatedIter<'_>> {
-        let plan = plan.clone();
-        let iter = self
-            .multi_scan(branches)?
-            .enumerate()
-            .skip(from as usize)
-            .filter_map(move |(i, r)| match r {
-                Ok((rec, live)) => plan.apply(rec).map(|rec| Ok((i as u64 + 1, rec, live))),
-                Err(e) => Some(Err(e)),
-            });
-        Ok(Box::new(iter))
-    }
+    ) -> Result<Box<dyn AnnotatedSlotCursor + '_>>;
 
     /// Materialized multi-branch scan that is free to use intra-query
     /// parallelism. `threads` is a hint: values ≤ 1 request a sequential

@@ -35,17 +35,34 @@ pub type RecordIter<'a> = Box<dyn Iterator<Item = Result<Record>> + 'a>;
 /// annotated with their active branches", §4.3).
 pub type AnnotatedIter<'a> = Box<dyn Iterator<Item = Result<(Record, Vec<BranchId>)>> + 'a>;
 
-/// Iterator returned by the planned scan pipeline
-/// ([`VersionedStore::scan_pipeline`](crate::store::VersionedStore::scan_pipeline)):
-/// each record is paired with an engine-opaque *resume token* — pass a
-/// yielded token back as the pipeline's `from` argument to continue the
-/// scan immediately after that row (O(1) for the bitmap engines, key-peeks
-/// only for version-first).
-pub type PosRecordIter<'a> = Box<dyn Iterator<Item = Result<(u64, Record)>> + 'a>;
+/// Lending cursor returned by the planned scan pipeline
+/// ([`VersionedStore::scan_pipeline`](crate::store::VersionedStore::scan_pipeline)).
+///
+/// Each step yields a matching row as its **serialized slot on the pinned
+/// heap page** ([`Schema::record_size`](decibel_common::schema::Schema::record_size)
+/// bytes, valid until the next call) paired with an engine-opaque *resume
+/// token* — pass a yielded token back as the pipeline's `from` argument to
+/// continue the scan immediately after that row (O(1) for the bitmap
+/// engines, key-peeks only for version-first). Nothing is decoded: callers
+/// that want a [`Record`] call
+/// [`Record::read_projected`], callers that want bytes copy them.
+pub trait SlotCursor {
+    /// The next matching row, or `None` once the scan is exhausted.
+    fn next_slot(&mut self) -> Result<Option<(u64, &[u8])>>;
+}
 
-/// Resume-token-annotated variant of [`AnnotatedIter`] returned by
-/// [`VersionedStore::multi_scan_pipeline`](crate::store::VersionedStore::multi_scan_pipeline).
-pub type PosAnnotatedIter<'a> = Box<dyn Iterator<Item = Result<(u64, Record, Vec<BranchId>)>> + 'a>;
+/// Multi-branch variant of [`SlotCursor`] returned by
+/// [`VersionedStore::multi_scan_pipeline`](crate::store::VersionedStore::multi_scan_pipeline):
+/// each row also carries the requested branches it is live in, in a buffer
+/// the cursor reuses from row to row.
+pub trait AnnotatedSlotCursor {
+    /// The next matching row, or `None` once the scan is exhausted.
+    fn next_slot(&mut self) -> Result<Option<AnnotatedSlot<'_>>>;
+}
+
+/// What an [`AnnotatedSlotCursor`] lends per row: `(resume token, slot
+/// bytes, live branches)`.
+pub type AnnotatedSlot<'a> = (u64, &'a [u8], &'a [BranchId]);
 
 /// Result of a [`diff`](crate::store::VersionedStore::diff): the paper's two
 /// "temporary tables" (§2.2.3 Difference).

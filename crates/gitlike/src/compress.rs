@@ -6,7 +6,6 @@
 //! matching). It preserves the *behavioural* property the paper leans on:
 //! compression work proportional to object size on every commit, and
 //! redundant content (CSV text, repeated rows) shrinking substantially.
-//! This substitution is recorded in DESIGN.md.
 //!
 //! Format: `[varint raw_len]` then a stream of tokens under flag bytes —
 //! each flag bit selects literal (1 byte) or match (`u16` offset-1,

@@ -11,7 +11,7 @@
 //!   ("compute SHA-1 hashes for each commit (proportional to data set
 //!   size)");
 //! * loose blob/tree/commit objects, compressed on disk ([`object`],
-//!   [`compress`] — an LZSS substitute for zlib, documented in DESIGN.md);
+//!   [`compress`] — an LZSS substitute for zlib, see its module docs);
 //! * packfiles with byte-level copy/insert delta chains and an explicit
 //!   `repack` operation ([`delta`], [`pack`]) — "git exhaustively compares
 //!   objects to find the best delta encoding to use";

@@ -14,17 +14,25 @@
 //!   decoded-but-unstarted requests (a client may pipeline; the queue cap
 //!   pauses read interest so an abusive sender backpressures through TCP
 //!   instead of growing server memory), and one write buffer.
-//! * **Chunked streaming scans.** Scan-shaped requests (`ScanSession`,
-//!   `Collect`, sequential `MultiScan`) run on the loop as resumable
-//!   [`ScanCursor`]s ([`decibel_core::cursor`]): chunks (~
-//!   [`proto::SCAN_BATCH_BYTES`]) are produced under a store/shard read
-//!   lock held for at most [`CHUNKS_PER_LOCK`] chunks, and production
-//!   parks — releasing the locks — once the unsent write-buffer backlog
-//!   reaches the [`STREAM_AHEAD`] cap (~2 MiB). A slow client therefore
-//!   pins a small constant of server memory and **zero** lock time while
-//!   stalled — the backpressure contract the thread-per-client server
-//!   could not offer (it materialized whole results to bound lock hold
-//!   time, at O(result) memory).
+//! * **Streaming scans: page bytes to socket.** Scan-shaped requests
+//!   (`ScanSession`, `Collect`, sequential `MultiScan`) run on the loop as
+//!   resumable [`ScanCursor`]s ([`decibel_core::cursor`]). The cursor
+//!   drives the engine's slot scan and hands every matched slot to the
+//!   loop's byte sink ([`SocketSink`]), which copies the slot's projected
+//!   image from the pinned heap page straight into the connection's write
+//!   buffer, framing batches (~[`proto::SCAN_BATCH_BYTES`] each) in place
+//!   with [`BatchStream`]. No `Record` is built server-side, nothing is
+//!   allocated per row, and the bytes on the wire are exactly those
+//!   `Response::Batch(..).encode()` produces (`tests/scan_stream_bytes.rs`).
+//!   *Held across sink calls:* the store/shard read locks and one pinned
+//!   page — for at most [`CHUNKS_PER_LOCK`] batches, each ending in one
+//!   nonblocking socket write. *Not held:* anything, once the unsent
+//!   write-buffer backlog reaches the [`STREAM_AHEAD`] cap (~2 MiB) and
+//!   production parks. A slow client therefore pins a small constant of
+//!   server memory and **zero** lock time while stalled — the
+//!   backpressure contract the thread-per-client server could not offer
+//!   (it materialized whole results to bound lock hold time, at O(result)
+//!   memory).
 //! * **Worker pool.** Session calls that may block — commit (group fsync),
 //!   merge, flush, 2PL lock acquisition on checkout/begin/writes, and the
 //!   materializing parallel multi-scan — are dispatched to a small pool.
@@ -73,14 +81,15 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use decibel_common::error::{DbError, Result};
+use decibel_common::ids::BranchId;
 use decibel_common::schema::Schema;
 use decibel_common::Projection;
-use decibel_core::cursor::{MultiScanCursor, ScanCursor};
+use decibel_core::cursor::{MultiScanCursor, RowSink, ScanCursor};
 use decibel_core::{Database, Session};
 use decibel_netio::{Events, Interest, Poll, Token, Trigger, Waker};
 use decibel_obs::{family, Counter, Gauge, Histogram, Registry, Snapshot};
 use decibel_wire::frame::{write_frame, FrameDecoder};
-use decibel_wire::proto::{self, Hello, Reply, Request, Response};
+use decibel_wire::proto::{self, BatchStream, Hello, Reply, Request, Response};
 
 /// Token of the accept listener.
 const LISTENER: Token = Token(0);
@@ -104,17 +113,17 @@ const READ_CHUNK: usize = 64 << 10;
 
 /// Scan chunks produced per store-lock acquisition when the client keeps
 /// up. Bounds both the lock hold (at most this many ~256 KiB chunks of
-/// encode and nonblocking write) and how long one connection can hog the
-/// loop; a backpressured socket ends the run early regardless.
+/// slot copying and nonblocking write) and how long one connection can hog
+/// the loop; a backpressured socket ends the run early regardless.
 const CHUNKS_PER_LOCK: usize = 32;
 
 /// Stream-ahead cap: scan chunks keep being produced into the write
 /// buffer until this many bytes sit unsent, then production parks until
 /// the socket drains below it. Kernel send buffers are small (wmem_max
-/// is ~200 KiB on stock Linux), and every park/resume pays the cursor's
-/// O(prefix) skip — buffering a bounded handful of chunks in user space
-/// absorbs that for all but the largest results, while a stalled client
-/// still pins only this constant (~2 MiB), not O(result).
+/// is ~200 KiB on stock Linux), and every park/resume re-acquires the
+/// locks and re-plans the scan — buffering a bounded handful of chunks in
+/// user space absorbs that for all but the largest results, while a
+/// stalled client still pins only this constant (~2 MiB), not O(result).
 const STREAM_AHEAD: usize = 8 * proto::SCAN_BATCH_BYTES;
 
 /// A bound, not-yet-serving listener. [`Server::spawn`] starts the event
@@ -650,15 +659,49 @@ fn token_matches(expected: &str, presented: &str) -> bool {
 /// batch that projection's image size buys within
 /// [`proto::SCAN_BATCH_BYTES`] (a 2-of-12-column scan packs ~6× the rows
 /// of a whole-record one into each frame).
-struct Stream<C> {
-    cursor: C,
+struct Stream {
+    cursor: StreamCursor,
     projection: Projection,
     rows_per_batch: usize,
 }
 
-enum Streaming {
-    Records(Stream<ScanCursor>),
-    Annotated(Stream<MultiScanCursor>),
+enum StreamCursor {
+    Records(ScanCursor),
+    Annotated(MultiScanCursor),
+}
+
+/// The [`RowSink`] of a streamed scan: rows go from the pinned heap page
+/// into the connection's write buffer as wire batch frames
+/// ([`BatchStream`]) — no `Record`, no per-row allocation, no intermediate
+/// payload vector — and every finished frame is pushed at the socket.
+///
+/// The cursor calls this with the store and shard read locks held, so
+/// `row` only copies bytes and `end_chunk` does one nonblocking write; it
+/// reports backpressure (ending the lock acquisition) once
+/// [`STREAM_AHEAD`] bytes sit unsent, or when the socket is `dead`.
+struct SocketSink<'a> {
+    frames: BatchStream<'a>,
+    stream: &'a mut TcpStream,
+    out_pos: &'a mut usize,
+    dead: bool,
+}
+
+impl RowSink for SocketSink<'_> {
+    #[inline]
+    fn row(&mut self, slot: &[u8], live: &[BranchId]) -> Result<()> {
+        self.frames.push_row(slot, live);
+        Ok(())
+    }
+
+    fn end_chunk(&mut self, rows: usize) -> Result<bool> {
+        self.frames.end_batch(rows);
+        let outbuf = self.frames.out();
+        if flush_buffer(self.stream, outbuf, self.out_pos).is_err() {
+            self.dead = true;
+            return Ok(false);
+        }
+        Ok(outbuf.len() - *self.out_pos < STREAM_AHEAD)
+    }
 }
 
 /// What a connection is doing between events.
@@ -666,7 +709,7 @@ enum Active {
     /// Nothing in flight; the next queued request may start.
     Idle,
     /// A chunked scan is streaming; `session` stays on the connection.
-    Streaming(Streaming),
+    Streaming(Box<Stream>),
     /// A worker owns the request (and, for session ops, the session);
     /// completion arrives through the done channel.
     Worker,
@@ -864,8 +907,8 @@ impl EventLoop {
         }
         // A generous send buffer lets a multi-chunk scan burst land in
         // kernel space in one lock acquisition instead of bouncing the
-        // producer through WouldBlock/resume cycles (each resume re-walks
-        // the scan prefix). Best-effort: the kernel clamps to wmem_max,
+        // producer through WouldBlock/resume cycles (each resume re-takes
+        // the locks and re-plans the scan). Best-effort: the kernel clamps to wmem_max,
         // and backpressure semantics don't depend on the size.
         {
             use std::os::fd::AsRawFd;
@@ -1051,64 +1094,54 @@ impl EventLoop {
     }
 
     /// Streams chunks of the in-flight scan into the socket via the
-    /// cursor's single-lock-acquisition fast path: the sink encodes each
-    /// chunk into the write buffer and flushes as much as the socket
-    /// accepts, and production continues while the unsent backlog stays
-    /// under [`STREAM_AHEAD`]. A backpressured client stops the run at
-    /// that cap — releasing the store locks and pinning a bounded handful
-    /// of chunks — while a fast reader amortizes the cursor's O(prefix)
-    /// resume skip over [`CHUNKS_PER_LOCK`] chunks instead of paying it
-    /// per chunk.
+    /// cursor's single-lock-acquisition byte sink ([`SocketSink`]): each
+    /// matched slot's projected image is copied from the pinned page into
+    /// the write buffer, each finished batch frame is flushed as far as
+    /// the socket accepts, and production continues while the unsent
+    /// backlog stays under [`STREAM_AHEAD`]. A backpressured client stops
+    /// the run at that cap — releasing the store locks and pinning a
+    /// bounded handful of chunks — while a fast reader amortizes lock
+    /// acquisition and scan re-planning over [`CHUNKS_PER_LOCK`] chunks.
     fn produce_chunks(&mut self, slot: usize) -> Disposition {
         let schema = &self.schema;
         let conn = self.conns[slot].as_mut().unwrap();
         let mut active = std::mem::replace(&mut conn.active, Active::Idle);
-        let Active::Streaming(streaming) = &mut active else {
+        let Active::Streaming(stream) = &mut active else {
             unreachable!("produce_chunks outside a stream");
         };
-        let mut dead = false;
-        let step: Result<bool> = {
-            let stream = &mut conn.stream;
-            let outbuf = &mut conn.outbuf;
-            let out_pos = &mut conn.out_pos;
-            let dead = &mut dead;
-            match streaming {
-                Streaming::Records(s) => {
-                    let projection = &s.projection;
-                    s.cursor
-                        .for_each_chunk(s.rows_per_batch, CHUNKS_PER_LOCK, |rows| {
-                            let resp = Response::Batch(projection.clone(), rows);
-                            queue_response(outbuf, schema, &resp)?;
-                            if flush_buffer(stream, outbuf, out_pos).is_err() {
-                                *dead = true;
-                                return Ok(false);
-                            }
-                            Ok(outbuf.len() - *out_pos < STREAM_AHEAD)
-                        })
-                }
-                Streaming::Annotated(s) => {
-                    let projection = &s.projection;
-                    s.cursor
-                        .for_each_chunk(s.rows_per_batch, CHUNKS_PER_LOCK, |rows| {
-                            let resp = Response::AnnotatedBatch(projection.clone(), rows);
-                            queue_response(outbuf, schema, &resp)?;
-                            if flush_buffer(stream, outbuf, out_pos).is_err() {
-                                *dead = true;
-                                return Ok(false);
-                            }
-                            Ok(outbuf.len() - *out_pos < STREAM_AHEAD)
-                        })
-                }
-            }
+        let Stream {
+            cursor,
+            projection,
+            rows_per_batch,
+        } = &mut **stream;
+        let mut sink = SocketSink {
+            frames: BatchStream::new(
+                &mut conn.outbuf,
+                schema,
+                projection,
+                matches!(cursor, StreamCursor::Annotated(_)),
+                *rows_per_batch,
+            ),
+            stream: &mut conn.stream,
+            out_pos: &mut conn.out_pos,
+            dead: false,
         };
-        if dead {
+        let step = match cursor {
+            StreamCursor::Records(c) => c.stream(*rows_per_batch, CHUNKS_PER_LOCK, &mut sink),
+            StreamCursor::Annotated(c) => c.stream(*rows_per_batch, CHUNKS_PER_LOCK, &mut sink),
+        };
+        if step.is_err() {
+            // The failing chunk's rows never became a frame.
+            sink.frames.abort();
+        }
+        if sink.dead {
             return Disposition::Close;
         }
         let terminal = match step {
             Ok(true) => {
-                let emitted = match &*streaming {
-                    Streaming::Records(s) => s.cursor.emitted(),
-                    Streaming::Annotated(s) => s.cursor.emitted(),
+                let emitted = match cursor {
+                    StreamCursor::Records(c) => c.emitted(),
+                    StreamCursor::Annotated(c) => c.emitted(),
                 };
                 Some(Response::Ok(Reply::Rows(emitted)))
             }
@@ -1240,8 +1273,8 @@ impl EventLoop {
                     .as_ref()
                     .expect("session present while idle")
                     .chunked_scan();
-                conn.active = Active::Streaming(Streaming::Records(Stream {
-                    cursor,
+                conn.active = Active::Streaming(Box::new(Stream {
+                    cursor: StreamCursor::Records(cursor),
                     rows_per_batch: proto::batch_rows(self.schema.record_size()),
                     projection: Projection::All,
                 }));
@@ -1254,8 +1287,8 @@ impl EventLoop {
                 let cursor = self
                     .db
                     .chunked_scan_projected(version, predicate, projection.clone());
-                conn.active = Active::Streaming(Streaming::Records(Stream {
-                    cursor,
+                conn.active = Active::Streaming(Box::new(Stream {
+                    cursor: StreamCursor::Records(cursor),
                     rows_per_batch: proto::batch_rows(projection.image_size(&self.schema)),
                     projection,
                 }));
@@ -1269,8 +1302,8 @@ impl EventLoop {
                 let cursor =
                     self.db
                         .chunked_multi_scan_projected(branches, predicate, projection.clone());
-                conn.active = Active::Streaming(Streaming::Annotated(Stream {
-                    cursor,
+                conn.active = Active::Streaming(Box::new(Stream {
+                    cursor: StreamCursor::Annotated(cursor),
                     rows_per_batch: proto::batch_rows(projection.image_size(&self.schema)),
                     projection,
                 }));

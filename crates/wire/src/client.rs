@@ -33,7 +33,7 @@ use decibel_core::query::{AggKind, Predicate};
 use decibel_core::types::{MergePolicy, MergeResult, VersionRef};
 
 use crate::frame::{read_frame, write_frame};
-use crate::proto::{Hello, Reply, Request, Response};
+use crate::proto::{self, Hello, Reply, Request, Response};
 
 /// A blocking connection to a `decibel-server`, holding one remote session.
 pub struct Client {
@@ -96,16 +96,16 @@ impl Client {
             .map_err(|e| DbError::io("flushing request", e))
     }
 
-    fn next_response(&mut self) -> Result<Response> {
-        let frame = read_frame(&mut self.reader)?
-            .ok_or_else(|| DbError::protocol("server closed the connection mid-request"))?;
-        Response::decode(&frame, &self.hello.schema)
+    fn next_frame(&mut self) -> Result<Vec<u8>> {
+        read_frame(&mut self.reader)?
+            .ok_or_else(|| DbError::protocol("server closed the connection mid-request"))
     }
 
     /// One request → one terminal reply (no batch frames expected).
     fn call(&mut self, req: &Request) -> Result<Reply> {
         self.send(req)?;
-        match self.next_response()? {
+        let frame = self.next_frame()?;
+        match Response::decode(&frame, &self.hello.schema)? {
             Response::Ok(reply) => Ok(reply),
             Response::Err(err) => Err(err),
             Response::Batch(..) | Response::AnnotatedBatch(..) => Err(DbError::protocol(
@@ -114,62 +114,52 @@ impl Client {
         }
     }
 
-    /// One request → streamed record batches → terminal row count.
-    fn call_scan(&mut self, req: &Request) -> Result<Vec<Record>> {
+    /// One scan-shaped request → streamed batch frames of status
+    /// `batch_status`, each decoded straight into the result vector by
+    /// `decode_into` → terminal row count.
+    fn call_streamed<T>(
+        &mut self,
+        req: &Request,
+        batch_status: u8,
+        decode_into: fn(&[u8], &Schema, &mut Vec<T>) -> Result<Projection>,
+    ) -> Result<Vec<T>> {
         self.send(req)?;
         let mut rows = Vec::new();
         loop {
-            match self.next_response()? {
-                Response::Batch(_, mut batch) => rows.append(&mut batch),
-                Response::Ok(Reply::Rows(total)) => {
-                    if total != rows.len() as u64 {
-                        return Err(DbError::protocol(format!(
-                            "scan terminal claims {total} rows, received {}",
-                            rows.len()
-                        )));
-                    }
-                    return Ok(rows);
-                }
-                Response::Ok(other) => {
-                    return Err(DbError::protocol(format!(
-                        "unexpected scan terminal {other:?}"
-                    )))
-                }
-                Response::Err(err) => return Err(err),
-                Response::AnnotatedBatch(..) => {
-                    return Err(DbError::protocol("annotated batch in a record scan"))
-                }
+            let frame = self.next_frame()?;
+            if frame.first() == Some(&batch_status) {
+                decode_into(&frame, &self.hello.schema, &mut rows)?;
+                continue;
             }
+            return match Response::decode(&frame, &self.hello.schema)? {
+                Response::Ok(Reply::Rows(total)) if total == rows.len() as u64 => Ok(rows),
+                Response::Ok(Reply::Rows(total)) => Err(DbError::protocol(format!(
+                    "scan terminal claims {total} rows, received {}",
+                    rows.len()
+                ))),
+                Response::Ok(other) => Err(DbError::protocol(format!(
+                    "unexpected scan terminal {other:?}"
+                ))),
+                Response::Err(err) => Err(err),
+                Response::Batch(..) | Response::AnnotatedBatch(..) => {
+                    Err(DbError::protocol("batch frame of the wrong kind in a scan"))
+                }
+            };
         }
+    }
+
+    /// One request → streamed record batches → terminal row count.
+    fn call_scan(&mut self, req: &Request) -> Result<Vec<Record>> {
+        self.call_streamed(req, proto::STATUS_BATCH, proto::decode_batch_into)
     }
 
     /// One request → streamed annotated batches → terminal row count.
     fn call_annotated(&mut self, req: &Request) -> Result<Vec<(Record, Vec<BranchId>)>> {
-        self.send(req)?;
-        let mut rows = Vec::new();
-        loop {
-            match self.next_response()? {
-                Response::AnnotatedBatch(_, mut batch) => rows.append(&mut batch),
-                Response::Ok(Reply::Rows(total)) => {
-                    if total != rows.len() as u64 {
-                        return Err(DbError::protocol(format!(
-                            "scan terminal claims {total} rows, received {}",
-                            rows.len()
-                        )));
-                    }
-                    return Ok(rows);
-                }
-                Response::Ok(other) => {
-                    return Err(DbError::protocol(format!(
-                        "unexpected scan terminal {other:?}"
-                    )))
-                }
-                Response::Err(err) => return Err(err),
-                Response::Batch(..) => {
-                    return Err(DbError::protocol("record batch in an annotated scan"))
-                }
-            }
-        }
+        self.call_streamed(
+            req,
+            proto::STATUS_ABATCH,
+            proto::decode_annotated_batch_into,
+        )
     }
 
     fn expect_unit(&mut self, req: &Request) -> Result<()> {

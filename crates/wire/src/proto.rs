@@ -6,8 +6,8 @@
 //! the body, encoded with the workspace's varint codec plus the schema's
 //! fixed-width record images — the same serialization the heap files and
 //! the journal use, so a scan batch is byte-compatible with the storage
-//! layer's own record layout and costs no per-row re-encoding beyond a
-//! memcpy out of the page.
+//! layer's own record layout: the streaming server writes batches with
+//! [`BatchStream`], whose per-row cost is a memcpy out of the pinned page.
 //!
 //! # Conversation shape
 //!
@@ -42,7 +42,9 @@
 //! Scan-shaped requests carry a [`Projection`]; batch frames are
 //! self-describing — each leads with the projection its record images
 //! were encoded under, so a 2-of-12-column `.select` ships 2 columns per
-//! row ([`Record::write_projected_image`]), not 12, and the client
+//! row ([`Record::write_projected_image`], or
+//! [`Record::copy_projected_image`] when the source is a heap slot), not
+//! 12, and the client
 //! decodes without tracking per-request state. Non-projected fields of
 //! the decoded records read `0`, exactly like a local projected scan.
 
@@ -887,6 +889,206 @@ fn read_merge_result(buf: &[u8], pos: &mut usize) -> Result<MergeResult> {
     })
 }
 
+/// `[status][projection][varint n]` — what every batch payload leads with.
+fn write_batch_header(out: &mut Vec<u8>, status: u8, projection: &Projection, rows: usize) {
+    out.push(status);
+    write_projection(out, projection);
+    varint::write_u64(out, rows as u64);
+}
+
+/// The frame-level lead of a batch whose row section is `rows_bytes` long:
+/// `[varint payload length]` then [`write_batch_header`].
+fn write_batch_frame_header(
+    out: &mut Vec<u8>,
+    status: u8,
+    projection: &Projection,
+    rows: usize,
+    rows_bytes: usize,
+) {
+    let at = out.len();
+    write_batch_header(out, status, projection, rows);
+    let mid = out.len();
+    varint::write_u64(out, (mid - at + rows_bytes) as u64);
+    // The length was written last but goes first: rotate it in front.
+    out[at..].rotate_left(mid - at);
+}
+
+/// `[varint k][k × varint branch]` — an annotated row's tail.
+fn write_annotation(out: &mut Vec<u8>, branches: &[BranchId]) {
+    varint::write_u64(out, branches.len() as u64);
+    for b in branches {
+        varint::write_u64(out, b.raw() as u64);
+    }
+}
+
+/// Reads a batch payload's `[status][projection][varint n]` lead,
+/// rejecting a projection outside `schema` and a row count the payload
+/// cannot hold.
+fn read_batch_header(
+    buf: &[u8],
+    pos: &mut usize,
+    status: u8,
+    schema: &Schema,
+) -> Result<(Projection, usize)> {
+    if read_u8(buf, pos)? != status {
+        return Err(bad("not the expected batch frame"));
+    }
+    let projection = read_projection(buf, pos)?;
+    projection
+        .validate(schema)
+        .map_err(|_| bad("batch projection names a column outside the schema"))?;
+    let n = read_u64(buf, pos)? as usize;
+    if n.saturating_mul(projection.image_size(schema)) > buf.len() {
+        return Err(bad("batch row count exceeds payload"));
+    }
+    Ok((projection, n))
+}
+
+/// Decodes a whole [`STATUS_BATCH`] payload, appending its records to
+/// `rows` (non-projected fields read `0`) and returning the projection it
+/// was encoded under. The one batch decoder: [`Response::decode`] calls it
+/// with an empty vector, the client with its result vector.
+pub fn decode_batch_into(
+    buf: &[u8],
+    schema: &Schema,
+    rows: &mut Vec<Record>,
+) -> Result<Projection> {
+    let mut pos = 0usize;
+    let (projection, n) = read_batch_header(buf, &mut pos, STATUS_BATCH, schema)?;
+    rows.reserve(n);
+    for _ in 0..n {
+        rows.push(read_projected_record(buf, &mut pos, schema, &projection)?);
+    }
+    Ok(projection)
+}
+
+/// [`decode_batch_into`] for [`STATUS_ABATCH`] payloads.
+pub fn decode_annotated_batch_into(
+    buf: &[u8],
+    schema: &Schema,
+    rows: &mut Vec<(Record, Vec<BranchId>)>,
+) -> Result<Projection> {
+    let mut pos = 0usize;
+    let (projection, n) = read_batch_header(buf, &mut pos, STATUS_ABATCH, schema)?;
+    rows.reserve(n);
+    for _ in 0..n {
+        let rec = read_projected_record(buf, &mut pos, schema, &projection)?;
+        let k = read_u64(buf, &mut pos)? as usize;
+        if k > buf.len() {
+            return Err(bad("branch annotation count exceeds payload"));
+        }
+        let mut branches = Vec::with_capacity(k);
+        for _ in 0..k {
+            branches.push(BranchId(read_u64(buf, &mut pos)? as u32));
+        }
+        rows.push((rec, branches));
+    }
+    Ok(projection)
+}
+
+/// Writes scan-batch **frames** (length prefix included) at the end of a
+/// byte buffer, row by row, straight from serialized heap slots — the
+/// server's streaming encoder. Each finished frame is byte for byte
+/// `write_frame(out, &Response::Batch(projection, rows).encode(schema)?)`
+/// (or the `AnnotatedBatch` equivalent) for the rows pushed, without a
+/// [`Record`] or an intermediate payload vector ever existing.
+///
+/// A frame's header (`varint payload length`, status, projection, `varint
+/// row count`) precedes rows whose number is only known at the end, so the
+/// frame opens with the header of a *full* batch (`max_rows` rows) and
+/// [`BatchStream::end_batch`] rewrites it in place; only when the real
+/// header has a different width (a short last batch, an annotated batch
+/// crossing a varint boundary) are the frame's rows moved.
+pub struct BatchStream<'a> {
+    out: &'a mut Vec<u8>,
+    schema: &'a Schema,
+    projection: &'a Projection,
+    annotated: bool,
+    max_rows: usize,
+    /// `(frame start, rows start)` offsets into `out` of the open frame.
+    open: Option<(usize, usize)>,
+    /// Scratch for the rewritten header.
+    header: Vec<u8>,
+}
+
+impl<'a> BatchStream<'a> {
+    /// A stream of [`STATUS_BATCH`] (or, if `annotated`, [`STATUS_ABATCH`])
+    /// frames of up to `max_rows` rows appended to `out`. `projection`
+    /// must already be validated against `schema`.
+    pub fn new(
+        out: &'a mut Vec<u8>,
+        schema: &'a Schema,
+        projection: &'a Projection,
+        annotated: bool,
+        max_rows: usize,
+    ) -> BatchStream<'a> {
+        BatchStream {
+            out,
+            schema,
+            projection,
+            annotated,
+            max_rows,
+            open: None,
+            header: Vec::new(),
+        }
+    }
+
+    fn status(&self) -> u8 {
+        if self.annotated {
+            STATUS_ABATCH
+        } else {
+            STATUS_BATCH
+        }
+    }
+
+    /// Appends one row — the projected image of the full-width `slot`,
+    /// plus its branch annotation if this is an annotated stream — opening
+    /// a frame if none is open.
+    #[inline]
+    pub fn push_row(&mut self, slot: &[u8], live: &[BranchId]) {
+        if self.open.is_none() {
+            let image = self.projection.image_size(self.schema);
+            self.out
+                .reserve(self.max_rows * (image + 4 * self.annotated as usize) + 32);
+            let start = self.out.len();
+            let (status, full) = (self.status(), self.max_rows);
+            write_batch_frame_header(self.out, status, self.projection, full, full * image);
+            self.open = Some((start, self.out.len()));
+        }
+        Record::copy_projected_image(self.schema, slot, self.projection, self.out);
+        if self.annotated {
+            write_annotation(self.out, live);
+        }
+    }
+
+    /// Closes the open frame, which holds `rows` rows.
+    pub fn end_batch(&mut self, rows: usize) {
+        let (start, body) = self.open.take().expect("end_batch without a row");
+        let rows_bytes = self.out.len() - body;
+        self.header.clear();
+        let status = self.status();
+        write_batch_frame_header(&mut self.header, status, self.projection, rows, rows_bytes);
+        if self.header.len() == body - start {
+            self.out[start..body].copy_from_slice(&self.header);
+        } else {
+            self.out.splice(start..body, self.header.iter().copied());
+        }
+    }
+
+    /// Drops the rows of a frame that will never be closed (the scan
+    /// failed mid-chunk), leaving `out` ending at the last whole frame.
+    pub fn abort(&mut self) {
+        if let Some((start, _)) = self.open.take() {
+            self.out.truncate(start);
+        }
+    }
+
+    /// The buffer, for flushing finished frames between batches.
+    pub fn out(&mut self) -> &mut Vec<u8> {
+        self.out
+    }
+}
+
 // Reply body tags (second byte of an OK frame).
 const R_UNIT: u8 = 0;
 const R_BRANCH: u8 = 1;
@@ -953,24 +1155,17 @@ impl Response {
             }
             Response::Batch(projection, records) => {
                 out.reserve(records.len() * projection.image_size(schema));
-                out.push(STATUS_BATCH);
-                write_projection(&mut out, projection);
-                varint::write_u64(&mut out, records.len() as u64);
+                write_batch_header(&mut out, STATUS_BATCH, projection, records.len());
                 for r in records {
                     r.write_projected_image(schema, projection, &mut out)?;
                 }
             }
             Response::AnnotatedBatch(projection, rows) => {
                 out.reserve(rows.len() * (projection.image_size(schema) + 4));
-                out.push(STATUS_ABATCH);
-                write_projection(&mut out, projection);
-                varint::write_u64(&mut out, rows.len() as u64);
+                write_batch_header(&mut out, STATUS_ABATCH, projection, rows.len());
                 for (r, branches) in rows {
                     r.write_projected_image(schema, projection, &mut out)?;
-                    varint::write_u64(&mut out, branches.len() as u64);
-                    for b in branches {
-                        varint::write_u64(&mut out, b.raw() as u64);
-                    }
+                    write_annotation(&mut out, branches);
                 }
             }
         }
@@ -1011,36 +1206,13 @@ impl Response {
             }
             STATUS_ERR => Ok(Response::Err(decode_error(&buf[pos..])?)),
             STATUS_BATCH => {
-                let projection = read_projection(buf, &mut pos)?;
-                let n = read_u64(buf, &mut pos)? as usize;
-                if n.saturating_mul(projection.image_size(schema)) > buf.len() {
-                    return Err(bad("batch row count exceeds payload"));
-                }
-                let mut records = Vec::with_capacity(n);
-                for _ in 0..n {
-                    records.push(read_projected_record(buf, &mut pos, schema, &projection)?);
-                }
+                let mut records = Vec::new();
+                let projection = decode_batch_into(buf, schema, &mut records)?;
                 Ok(Response::Batch(projection, records))
             }
             STATUS_ABATCH => {
-                let projection = read_projection(buf, &mut pos)?;
-                let n = read_u64(buf, &mut pos)? as usize;
-                if n.saturating_mul(projection.image_size(schema)) > buf.len() {
-                    return Err(bad("annotated row count exceeds payload"));
-                }
-                let mut rows = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let rec = read_projected_record(buf, &mut pos, schema, &projection)?;
-                    let k = read_u64(buf, &mut pos)? as usize;
-                    if k > buf.len() {
-                        return Err(bad("branch annotation count exceeds payload"));
-                    }
-                    let mut branches = Vec::with_capacity(k);
-                    for _ in 0..k {
-                        branches.push(BranchId(read_u64(buf, &mut pos)? as u32));
-                    }
-                    rows.push((rec, branches));
-                }
+                let mut rows = Vec::new();
+                let projection = decode_annotated_batch_into(buf, schema, &mut rows)?;
                 Ok(Response::AnnotatedBatch(projection, rows))
             }
             other => Err(bad(format!("unknown response status {other}"))),

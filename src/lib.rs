@@ -90,11 +90,12 @@
 //! [`server`] for the event-loop architecture, and
 //! `examples/client_server.rs` for a runnable tour.
 //!
-//! The benchmark harness lives in the `decibel-bench` crate
-//! (`cargo run -p decibel-bench --release -- all`); every table and figure
-//! from the paper's evaluation has a subcommand and a criterion bench.
-//! See DESIGN.md for the system inventory and EXPERIMENTS.md for measured
-//! results.
+//! The paper's evaluation lives in the `decibel-bench` crate
+//! (`cargo run -p decibel-bench --release -- all`): every table and figure
+//! has a subcommand and a criterion bench. The repo's own performance
+//! record — end to end and per layer — is the stand-alone `perfbench/`
+//! package; the README's "Benchmarks" section has the one command that
+//! regenerates it.
 
 pub use decibel_bitmap as bitmap;
 pub use decibel_common as common;

@@ -146,6 +146,17 @@ fn slow_reader_pins_chunk_memory_and_holds_no_locks() {
         "stalled scan grew server RSS by {grown} bytes (result is ~24 MB; expected O(256 KiB chunk))"
     );
 
+    // The same bound, read off the server's own gauge: the byte sink
+    // parks production once the unsent backlog reaches the stream-ahead
+    // cap (8 batches), overshooting by at most the batch that crossed it.
+    let batch = decibel::wire::proto::SCAN_BATCH_BYTES as u64;
+    let (_, backlog_max) = handle.metrics().gauge("server", "backlog_bytes");
+    assert!(
+        (8 * batch..10 * batch).contains(&backlog_max),
+        "stalled scan's backlog high-water mark is {backlog_max} bytes; STREAM_AHEAD is {}",
+        8 * batch
+    );
+
     // Zero lock time between chunks: a commit on a sibling branch and a
     // full checkpoint (which quiesces every shard and takes the store
     // write lock) must both complete while the scan is parked mid-stream.
