@@ -1146,6 +1146,33 @@ mod tests {
     }
 
     #[test]
+    fn open_writes_graph_only_through_its_disk_env() {
+        use decibel_common::env::FaultEnv;
+        for kind in EngineKind::all() {
+            let (_d, database) = db(kind);
+            let mut s = database.session();
+            s.insert(Record::new(1, vec![1, 1])).unwrap();
+            s.commit().unwrap();
+            drop(s);
+            database.flush().unwrap();
+            let dir = database.dir().to_path_buf();
+            drop(database);
+            let graph = dir.join(DATA_DIR).join("graph.dvg");
+            std::fs::remove_file(&graph).unwrap();
+            // Every mutating op of a crashed environment fails, so the
+            // open may fail — but it must not write past its environment.
+            let env = FaultEnv::new();
+            env.crash_after(0, false);
+            let config = StoreConfig::test_default().with_env(Arc::new(env));
+            let _ = Database::open(&dir, &config);
+            assert!(
+                !graph.exists(),
+                "{kind:?}: graph.dvg written past the DiskEnv"
+            );
+        }
+    }
+
+    #[test]
     fn manifest_round_trips() {
         for kind in EngineKind::all() {
             let (_d, database) = db(kind);

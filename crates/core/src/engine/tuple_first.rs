@@ -684,7 +684,9 @@ impl<I: IndexOrientation> VersionedStore for TupleFirstEngine<I> {
 
     fn flush(&mut self) -> Result<()> {
         self.heap.flush()?;
-        self.graph.get_mut().save(self.dir.join("graph.dvg"))
+        self.graph
+            .get_mut()
+            .save_in(self.pool.env().as_ref(), self.dir.join("graph.dvg"), false)
     }
 
     fn checkpoint(&mut self) -> Result<Vec<u8>> {
@@ -1038,7 +1040,8 @@ mod tests {
         eng.insert(BranchId::MASTER, rec(1, 0)).unwrap();
         eng.commit(BranchId::MASTER).unwrap();
         eng.flush().unwrap();
-        let loaded = VersionGraph::load(eng.dir.join("graph.dvg")).unwrap();
+        let loaded =
+            VersionGraph::load_in(&decibel_common::env::StdEnv, eng.dir.join("graph.dvg")).unwrap();
         assert_eq!(loaded.num_commits(), eng.graph().num_commits());
     }
 

@@ -884,7 +884,9 @@ impl VersionedStore for VersionFirstEngine {
         for seg in &self.segments {
             seg.heap.flush()?;
         }
-        self.graph.get_mut().save(self.dir.join("graph.dvg"))
+        self.graph
+            .get_mut()
+            .save_in(self.pool.env().as_ref(), self.dir.join("graph.dvg"), false)
     }
 
     fn checkpoint(&mut self) -> Result<Vec<u8>> {

@@ -44,6 +44,9 @@ struct PoolInner {
     frames: FxHashMap<(FileId, u64), Frame>,
     files: Vec<Arc<dyn DiskFile>>,
     stats: PoolStats,
+    /// The last evicted full page nobody else still held: the next full-page
+    /// miss reads into it instead of allocating (and zeroing) a new one.
+    spare: Option<Vec<u8>>,
 }
 
 /// Integrity check run against a freshly read page before it is cached
@@ -118,6 +121,7 @@ impl BufferPool {
                 frames: FxHashMap::default(),
                 files: Vec::new(),
                 stats: PoolStats::default(),
+                spare: None,
             }),
         }
     }
@@ -192,11 +196,14 @@ impl BufferPool {
             }
         }
         // Miss: read outside the lock so concurrent scans overlap their I/O.
-        let handle = {
-            let inner = self.inner.lock();
-            Arc::clone(&inner.files[file.0 as usize])
+        let (handle, spare) = {
+            let mut inner = self.inner.lock();
+            let spare = inner.spare.take_if(|buf| buf.len() == valid_len);
+            (Arc::clone(&inner.files[file.0 as usize]), spare)
         };
-        let mut buf = vec![0u8; valid_len];
+        // A reused buffer needs no zeroing: the read overwrites every byte
+        // or fails, and a failed read caches and returns nothing.
+        let mut buf = spare.unwrap_or_else(|| vec![0u8; valid_len]);
         handle
             .read_exact_at(&mut buf, page_no * self.page_size as u64)
             .ctx("reading page from heap file")?;
@@ -208,14 +215,7 @@ impl BufferPool {
         let mut inner = self.inner.lock();
         inner.stats.misses += 1;
         self.misses.inc();
-        if inner.frames.len() >= self.capacity {
-            // Evict the least recently used frame.
-            if let Some((&victim, _)) = inner.frames.iter().min_by_key(|(_, f)| f.last_used) {
-                inner.frames.remove(&victim);
-                inner.stats.evictions += 1;
-                self.evictions.inc();
-            }
-        }
+        self.make_room(&mut inner);
         inner.frames.insert(
             (file, page_no),
             Frame {
@@ -231,13 +231,7 @@ impl BufferPool {
     pub fn put_page(&self, file: FileId, page_no: u64, data: Arc<Vec<u8>>) {
         let now = self.clock.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.lock();
-        if inner.frames.len() >= self.capacity {
-            if let Some((&victim, _)) = inner.frames.iter().min_by_key(|(_, f)| f.last_used) {
-                inner.frames.remove(&victim);
-                inner.stats.evictions += 1;
-                self.evictions.inc();
-            }
-        }
+        self.make_room(&mut inner);
         inner.frames.insert(
             (file, page_no),
             Frame {
@@ -245,6 +239,29 @@ impl BufferPool {
                 last_used: now,
             },
         );
+    }
+
+    /// Evicts the least recently used frame if the pool is full. A full
+    /// page no reader still holds becomes the spare; one still held stays
+    /// with its readers (reusing it would overwrite bytes they see).
+    fn make_room(&self, inner: &mut PoolInner) {
+        if inner.frames.len() < self.capacity {
+            return;
+        }
+        let victim = inner.frames.iter().min_by_key(|(_, f)| f.last_used);
+        let Some(frame) = victim
+            .map(|(&key, _)| key)
+            .and_then(|key| inner.frames.remove(&key))
+        else {
+            return;
+        };
+        inner.stats.evictions += 1;
+        self.evictions.inc();
+        if let Ok(buf) = Arc::try_unwrap(frame.data) {
+            if buf.len() == self.page_size {
+                inner.spare = Some(buf);
+            }
+        }
     }
 
     /// Drops every cached page. Benchmarks call this before measured
@@ -358,6 +375,78 @@ mod tests {
         // A clean read caches the page; hits then bypass the verifier.
         let _ = pool.get_page(id, 0, 32).unwrap();
         let _ = pool.get_page_with(id, 0, 32, Some(&reject)).unwrap();
+    }
+
+    /// Four 16-byte pages; page `i` is filled with byte `i + 1`.
+    fn four_pages() -> (tempfile::TempDir, Arc<File>) {
+        let bytes: Vec<u8> = (0..64).map(|i| i / 16 + 1).collect();
+        file_with(&bytes)
+    }
+
+    #[test]
+    fn evicted_page_is_reused_only_once_no_reader_holds_it() {
+        let (_d, f) = four_pages();
+        let pool = BufferPool::new(16, 1);
+        let id = pool.register(f);
+        let a = pool.get_page(id, 0, 16).unwrap();
+        // Evicting A while `a` still holds it must not make it the spare.
+        let b = pool.get_page(id, 1, 16).unwrap();
+        let b_addr = b.as_ptr();
+        drop(b);
+        let c = pool.get_page(id, 2, 16).unwrap(); // evicts B, nobody holds it
+        let d = pool.get_page(id, 3, 16).unwrap(); // reads into B's buffer
+        assert_eq!(d.as_ptr(), b_addr, "the unheld victim was not reused");
+        assert_ne!(c.as_ptr(), a.as_ptr());
+        assert_ne!(d.as_ptr(), a.as_ptr());
+        assert_eq!(&a[..], &[1u8; 16]);
+        assert_eq!(&c[..], &[3u8; 16]);
+        assert_eq!(&d[..], &[4u8; 16]);
+        // A held victim never comes back as a buffer either.
+        drop(c);
+        let a2 = pool.get_page(id, 0, 16).unwrap();
+        assert_ne!(a2.as_ptr(), a.as_ptr());
+        assert_eq!(&a[..], &[1u8; 16]);
+        assert_eq!(&a2[..], &[1u8; 16]);
+    }
+
+    #[test]
+    fn failed_read_into_spare_caches_nothing_and_next_read_is_fresh() {
+        let (_d, f) = four_pages();
+        let pool = BufferPool::new(16, 1);
+        let id = pool.register(f);
+        let reject =
+            |_: &[u8]| -> Result<()> { Err(decibel_common::DbError::corrupt("bad page (test)")) };
+        let _ = pool.get_page(id, 0, 16).unwrap();
+        let _ = pool.get_page(id, 1, 16).unwrap(); // page 0 becomes the spare
+        assert!(pool.get_page_with(id, 2, 16, Some(&reject)).is_err());
+        assert!(pool.get_page(id, 9, 16).is_err()); // past end of file
+        assert_eq!(pool.cached_pages(), 1);
+        assert_eq!(&pool.get_page(id, 2, 16).unwrap()[..], &[3u8; 16]);
+        assert_eq!(&pool.get_page(id, 3, 16).unwrap()[..], &[4u8; 16]);
+        assert_eq!(&pool.get_page(id, 1, 16).unwrap()[..], &[2u8; 16]);
+    }
+
+    #[test]
+    fn every_verified_miss_is_checked_whether_or_not_its_buffer_is_reused() {
+        let (_d, f) = four_pages();
+        let pool = BufferPool::new(16, 1);
+        let id = pool.register(f);
+        let seen = Mutex::new(Vec::new());
+        let check = |page: &[u8]| -> Result<()> {
+            seen.lock().push(page[0]);
+            Ok(())
+        };
+        let pages = [0, 1, 2, 3, 0, 0, 1];
+        for page in pages {
+            let got = pool.get_page_with(id, page, 16, Some(&check)).unwrap();
+            assert_eq!(got[0], page as u8 + 1);
+        }
+        // One verify per miss, each on the page's own fresh bytes.
+        assert_eq!(*seen.lock(), [1, 2, 3, 4, 1, 2]);
+        let s = pool.stats();
+        assert_eq!((s.misses, s.hits, s.evictions), (6, 1, 5));
+        let snap = pool.registry().snapshot();
+        assert_eq!(snap.counter(family::POOL, "crc_verifies"), 6);
     }
 
     #[test]

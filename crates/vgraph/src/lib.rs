@@ -356,21 +356,10 @@ impl VersionGraph {
         })
     }
 
-    /// Persists the graph to `path` (atomic: write temp file then rename).
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        self.save_with(path, false)
-    }
-
-    /// Persists the graph, optionally fsyncing the file before the rename
+    /// Persists the graph to `path` through `env` (atomic: write a temp
+    /// file then rename), optionally fsyncing the file before the rename
     /// and the directory after it — the durable variant checkpoints use
     /// (an atomic rename is only crash-safe once both are synced).
-    pub fn save_with(&self, path: impl AsRef<Path>, fsync: bool) -> Result<()> {
-        self.save_in(&decibel_common::env::StdEnv, path, fsync)
-    }
-
-    /// [`VersionGraph::save_with`] through an explicit
-    /// [`DiskEnv`](decibel_common::env::DiskEnv), so fault injection can
-    /// interpose on the temp-write/fsync/rename sequence.
     pub fn save_in(
         &self,
         env: &dyn decibel_common::env::DiskEnv,
@@ -380,13 +369,7 @@ impl VersionGraph {
         decibel_common::fsio::write_file_durably_in(env, path.as_ref(), &self.to_bytes(), fsync)
     }
 
-    /// Loads a graph persisted by [`VersionGraph::save`].
-    pub fn load(path: impl AsRef<Path>) -> Result<VersionGraph> {
-        Self::load_in(&decibel_common::env::StdEnv, path)
-    }
-
-    /// [`VersionGraph::load`] through an explicit
-    /// [`DiskEnv`](decibel_common::env::DiskEnv).
+    /// Loads a graph persisted by [`VersionGraph::save_in`] through `env`.
     pub fn load_in(
         env: &dyn decibel_common::env::DiskEnv,
         path: impl AsRef<Path>,
@@ -538,8 +521,9 @@ mod tests {
         let (g, _, _) = figure_1b();
         let dir = tempfile::tempdir().unwrap();
         let p = dir.path().join("graph");
-        g.save(&p).unwrap();
-        assert_eq!(VersionGraph::load(&p).unwrap(), g);
+        let env = decibel_common::env::StdEnv;
+        g.save_in(&env, &p, false).unwrap();
+        assert_eq!(VersionGraph::load_in(&env, &p).unwrap(), g);
     }
 
     #[test]
