@@ -4,6 +4,7 @@
 use std::time::Instant;
 
 use decibel_bitmap::{Bitmap, CommitStore};
+use decibel_common::env::std_env;
 use decibel_common::rng::DetRng;
 use decibel_common::Result;
 use decibel_core::types::EngineKind;
@@ -53,7 +54,7 @@ pub fn ablate_commit_layers(ctx: &Ctx) -> Result<Table> {
     let rows_per_commit = (200.0 * ctx.scale).max(10.0) as u64;
     for n_commits in [16u64, 64, 256] {
         let dir = tempfile::tempdir().expect("tempdir");
-        let mut store = CommitStore::create(dir.path().join("c"), 16)?;
+        let mut store = CommitStore::create_in(std_env(), dir.path().join("c"), 16)?;
         let mut rng = DetRng::seed_from_u64(41);
         let mut bm = Bitmap::new();
         let mut rows = 0u64;

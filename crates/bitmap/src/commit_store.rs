@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use decibel_common::crc::crc32;
-use decibel_common::env::{std_env, DiskEnv, DiskFile, OpenMode};
+use decibel_common::env::{DiskEnv, DiskFile, OpenMode};
 use decibel_common::error::{DbError, IoResultExt, Result};
 use decibel_common::varint;
 
@@ -84,14 +84,9 @@ impl CommitStore {
     /// Default composite-layer interval.
     pub const DEFAULT_LAYER_INTERVAL: usize = 16;
 
-    /// Creates an empty store at `path`. The file itself is created
-    /// lazily on the first real delta write, so stores tracking only
-    /// empty histories cost no file-system objects.
-    pub fn create(path: impl AsRef<Path>, layer_interval: usize) -> Result<CommitStore> {
-        Self::create_in(std_env(), path, layer_interval)
-    }
-
-    /// [`CommitStore::create`] through an explicit [`DiskEnv`].
+    /// Creates an empty store at `path` in `env`. The file itself is
+    /// created lazily on the first real delta write, so stores tracking
+    /// only empty histories cost no file-system objects.
     pub fn create_in(
         env: Arc<dyn DiskEnv>,
         path: impl AsRef<Path>,
@@ -119,38 +114,22 @@ impl CommitStore {
             .ctx("opening commit store for read")
     }
 
-    /// Reopens an existing store, rebuilding entry metadata and the tail
-    /// state by replaying the delta chain.
-    pub fn open(path: impl AsRef<Path>, layer_interval: usize) -> Result<CommitStore> {
-        Self::open_in(std_env(), path, layer_interval)
-    }
-
-    /// [`CommitStore::open`] through an explicit [`DiskEnv`].
+    /// Reopens an existing store in `env`, rebuilding entry metadata and
+    /// the tail state by replaying the delta chain.
     pub fn open_in(
         env: Arc<dyn DiskEnv>,
         path: impl AsRef<Path>,
         layer_interval: usize,
     ) -> Result<CommitStore> {
-        let path = path.as_ref().to_path_buf();
-        let len = env.file_len(&path).ctx("stat commit store")?;
-        Self::load(env, path, layer_interval, len, 0)
+        let len = env.file_len(path.as_ref()).ctx("stat commit store")?;
+        Self::open_at_in(env, path, layer_interval, len, 0)
     }
 
-    /// Reopens a store at a checkpoint-recorded coverage: exactly `covered`
-    /// on-disk bytes (anything beyond — entries written after the
+    /// Reopens a store in `env` at a checkpoint-recorded coverage: exactly
+    /// `covered` on-disk bytes (anything beyond — entries written after the
     /// checkpoint, crash garbage — is truncated away and regenerated by
     /// journal suffix replay) plus `pending` buffered empty-delta headers
     /// that the checkpoint recorded instead of forcing to disk.
-    pub fn open_at(
-        path: impl AsRef<Path>,
-        layer_interval: usize,
-        covered: u64,
-        pending: u32,
-    ) -> Result<CommitStore> {
-        Self::open_at_in(std_env(), path, layer_interval, covered, pending)
-    }
-
-    /// [`CommitStore::open_at`] through an explicit [`DiskEnv`].
     pub fn open_at_in(
         env: Arc<dyn DiskEnv>,
         path: impl AsRef<Path>,
@@ -158,22 +137,7 @@ impl CommitStore {
         covered: u64,
         pending: u32,
     ) -> Result<CommitStore> {
-        Self::load(
-            env,
-            path.as_ref().to_path_buf(),
-            layer_interval,
-            covered,
-            pending,
-        )
-    }
-
-    fn load(
-        env: Arc<dyn DiskEnv>,
-        path: PathBuf,
-        layer_interval: usize,
-        covered: u64,
-        pending: u32,
-    ) -> Result<CommitStore> {
+        let path = path.as_ref().to_path_buf();
         let mut bytes = vec![0u8; covered as usize];
         if covered > 0 {
             // Stores whose entire history was empty deltas never created a
@@ -423,7 +387,7 @@ impl CommitStore {
     }
 
     /// Bytes actually on disk (excluding buffered empty-delta headers) —
-    /// the coverage a checkpoint records for [`CommitStore::open_at`].
+    /// the coverage a checkpoint records for [`CommitStore::open_at_in`].
     pub fn on_disk_len(&self) -> u64 {
         self.write_pos
     }
@@ -443,6 +407,7 @@ impl CommitStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use decibel_common::env::std_env;
     use decibel_common::rng::DetRng;
 
     fn random_history(n: usize, seed: u64) -> Vec<Bitmap> {
@@ -471,7 +436,7 @@ mod tests {
     #[test]
     fn checkout_reconstructs_every_commit() {
         let dir = tempfile::tempdir().unwrap();
-        let mut store = CommitStore::create(dir.path().join("c"), 4).unwrap();
+        let mut store = CommitStore::create_in(std_env(), dir.path().join("c"), 4).unwrap();
         let history = random_history(25, 7);
         for bm in &history {
             store.append_commit(bm).unwrap();
@@ -489,7 +454,7 @@ mod tests {
     #[test]
     fn layered_equals_unlayered() {
         let dir = tempfile::tempdir().unwrap();
-        let mut store = CommitStore::create(dir.path().join("c"), 4).unwrap();
+        let mut store = CommitStore::create_in(std_env(), dir.path().join("c"), 4).unwrap();
         let history = random_history(20, 13);
         for bm in &history {
             store.append_commit(bm).unwrap();
@@ -509,12 +474,12 @@ mod tests {
         let path = dir.path().join("c");
         let history = random_history(10, 5);
         {
-            let mut store = CommitStore::create(&path, 4).unwrap();
+            let mut store = CommitStore::create_in(std_env(), &path, 4).unwrap();
             for bm in &history[..7] {
                 store.append_commit(bm).unwrap();
             }
         }
-        let mut store = CommitStore::open(&path, 4).unwrap();
+        let mut store = CommitStore::open_in(std_env(), &path, 4).unwrap();
         assert_eq!(store.commit_count(), 7);
         for bm in &history[7..] {
             store.append_commit(bm).unwrap();
@@ -527,14 +492,14 @@ mod tests {
     #[test]
     fn unknown_ordinal_errors() {
         let dir = tempfile::tempdir().unwrap();
-        let store = CommitStore::create(dir.path().join("c"), 4).unwrap();
+        let store = CommitStore::create_in(std_env(), dir.path().join("c"), 4).unwrap();
         assert!(store.checkout(0).is_err());
     }
 
     #[test]
     fn file_grows_with_commits() {
         let dir = tempfile::tempdir().unwrap();
-        let mut store = CommitStore::create(dir.path().join("c"), 16).unwrap();
+        let mut store = CommitStore::create_in(std_env(), dir.path().join("c"), 16).unwrap();
         let mut bm = Bitmap::new();
         bm.set(0, true);
         store.append_commit(&bm).unwrap();
@@ -548,7 +513,7 @@ mod tests {
     #[test]
     fn identical_consecutive_commits_are_cheap() {
         let dir = tempfile::tempdir().unwrap();
-        let mut store = CommitStore::create(dir.path().join("c"), 16).unwrap();
+        let mut store = CommitStore::create_in(std_env(), dir.path().join("c"), 16).unwrap();
         let mut bm = Bitmap::zeros(1_000_000);
         for i in (0..1_000_000).step_by(3) {
             bm.set(i, true);
@@ -568,7 +533,7 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         let path = dir.path().join("c");
         let history = random_history(9, 11);
-        let mut store = CommitStore::create(&path, 4).unwrap();
+        let mut store = CommitStore::create_in(std_env(), &path, 4).unwrap();
         for bm in &history {
             store.append_commit(bm).unwrap();
         }
@@ -591,7 +556,7 @@ mod tests {
                 .unwrap();
             f.write_all(&[1, 4, 0xde, 0xad, 0xbe, 0xef]).unwrap();
         }
-        let mut store = CommitStore::open_at(&path, 4, covered, pending).unwrap();
+        let mut store = CommitStore::open_at_in(std_env(), &path, 4, covered, pending).unwrap();
         assert_eq!(store.commit_count(), n);
         for (i, bm) in history.iter().enumerate() {
             assert_eq!(store.checkout(i as u64).unwrap(), *bm, "commit {i}");
@@ -608,7 +573,7 @@ mod tests {
     #[test]
     fn open_at_zero_coverage_needs_no_file() {
         let dir = tempfile::tempdir().unwrap();
-        let store = CommitStore::open_at(dir.path().join("absent"), 4, 0, 3).unwrap();
+        let store = CommitStore::open_at_in(std_env(), dir.path().join("absent"), 4, 0, 3).unwrap();
         assert_eq!(store.commit_count(), 3);
         assert_eq!(store.checkout(2).unwrap().count_ones(), 0);
         // Syncing a fileless store is a no-op, not an error.
@@ -619,13 +584,13 @@ mod tests {
     fn open_at_rejects_short_file() {
         let dir = tempfile::tempdir().unwrap();
         let path = dir.path().join("c");
-        let mut store = CommitStore::create(&path, 4).unwrap();
+        let mut store = CommitStore::create_in(std_env(), &path, 4).unwrap();
         let mut bm = Bitmap::new();
         bm.set(5, true);
         store.append_commit(&bm).unwrap();
         let covered = store.on_disk_len();
         drop(store);
-        assert!(CommitStore::open_at(&path, 4, covered + 10, 0).is_err());
+        assert!(CommitStore::open_at_in(std_env(), &path, 4, covered + 10, 0).is_err());
     }
 
     /// Flips one bit of the byte at `offset` from the end of the file.
@@ -647,7 +612,7 @@ mod tests {
     fn bit_flipped_entry_is_rejected_at_open() {
         let dir = tempfile::tempdir().unwrap();
         let path = dir.path().join("c");
-        let mut store = CommitStore::create(&path, 4).unwrap();
+        let mut store = CommitStore::create_in(std_env(), &path, 4).unwrap();
         for bm in &random_history(6, 17) {
             store.append_commit(bm).unwrap();
         }
@@ -655,7 +620,7 @@ mod tests {
         drop(store);
         // The file ends with the last entry's RLE payload; flip a bit in it.
         flip_bit_at_end(&path, 1);
-        let err = match CommitStore::open(&path, 4) {
+        let err = match CommitStore::open_in(std_env(), &path, 4) {
             Ok(_) => panic!("bit-flipped store must not open cleanly"),
             Err(e) => e,
         };
@@ -670,7 +635,7 @@ mod tests {
     fn bit_flip_after_open_is_caught_on_checkout() {
         let dir = tempfile::tempdir().unwrap();
         let path = dir.path().join("c");
-        let mut store = CommitStore::create(&path, 4).unwrap();
+        let mut store = CommitStore::create_in(std_env(), &path, 4).unwrap();
         let history = random_history(6, 19);
         for bm in &history {
             store.append_commit(bm).unwrap();
@@ -689,7 +654,7 @@ mod tests {
     #[test]
     fn layer_interval_one_means_all_composites() {
         let dir = tempfile::tempdir().unwrap();
-        let mut store = CommitStore::create(dir.path().join("c"), 1).unwrap();
+        let mut store = CommitStore::create_in(std_env(), dir.path().join("c"), 1).unwrap();
         let history = random_history(5, 3);
         for bm in &history {
             store.append_commit(bm).unwrap();

@@ -8,16 +8,12 @@
 
 use std::path::Path;
 
-use crate::env::{DiskEnv, OpenMode, StdEnv};
+use crate::env::{DiskEnv, OpenMode};
 use crate::error::{DbError, IoResultExt, Result};
 
-/// Fsyncs the directory containing `path`, making renames/removals of
-/// entries in it durable. No-op if the path has no parent component.
-pub fn sync_parent_dir(path: &Path) -> Result<()> {
-    sync_parent_dir_in(&StdEnv, path)
-}
-
-/// [`sync_parent_dir`] through an explicit [`DiskEnv`].
+/// Fsyncs (through `env`) the directory containing `path`, making
+/// renames/removals of entries in it durable. A path with no parent
+/// component syncs `.`.
 pub fn sync_parent_dir_in(env: &dyn DiskEnv, path: &Path) -> Result<()> {
     let parent = match path.parent() {
         Some(p) if !p.as_os_str().is_empty() => p,
@@ -27,14 +23,9 @@ pub fn sync_parent_dir_in(env: &dyn DiskEnv, path: &Path) -> Result<()> {
 }
 
 /// Atomically (and, when `fsync` is set, durably) replaces the file at
-/// `path` with `bytes`: temp-file write → fsync → rename → parent-dir
-/// fsync. A crash at any point leaves either the old file or the new one,
-/// never a torn mixture.
-pub fn write_file_durably(path: &Path, bytes: &[u8], fsync: bool) -> Result<()> {
-    write_file_durably_in(&StdEnv, path, bytes, fsync)
-}
-
-/// [`write_file_durably`] through an explicit [`DiskEnv`].
+/// `path` in `env` with `bytes`: temp-file write → fsync → rename →
+/// parent-dir fsync. A crash at any point leaves either the old file or
+/// the new one, never a torn mixture.
 pub fn write_file_durably_in(
     env: &dyn DiskEnv,
     path: &Path,
@@ -65,14 +56,15 @@ pub fn write_file_durably_in(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::env::StdEnv;
 
     #[test]
     fn replaces_content_atomically() {
         let dir = tempfile::tempdir().unwrap();
         let path = dir.path().join("f");
-        write_file_durably(&path, b"one", false).unwrap();
+        write_file_durably_in(&StdEnv, &path, b"one", false).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"one");
-        write_file_durably(&path, b"two", true).unwrap();
+        write_file_durably_in(&StdEnv, &path, b"two", true).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"two");
         // No temp residue.
         assert!(!path.with_file_name("f.tmp").exists());
@@ -81,6 +73,6 @@ mod tests {
     #[test]
     fn sync_parent_of_root_relative_path_is_ok() {
         // A bare file name has no parent component; "." is synced instead.
-        sync_parent_dir(Path::new("some-file")).unwrap();
+        sync_parent_dir_in(&StdEnv, Path::new("some-file")).unwrap();
     }
 }

@@ -42,7 +42,7 @@
 //! sealed transaction in one write + fsync; the others observe their
 //! seal already durable and return without touching the disk. Under k
 //! concurrent committers one fsync amortizes over up to k transactions
-//! (see [`Database::journal_stats`]).
+//! (`commit/grouped_txns` over `wal/flushes` in [`Database::metrics`]).
 //!
 //! Use a [`Session`] (whose reads take the shared branch lock) when a
 //! sequence of reads must be stable against concurrent committers.
@@ -55,7 +55,7 @@
 //!
 //! Every state-changing operation on the public surface — session commits,
 //! [`Database::create_branch`], [`Database::merge`] — is journaled to the
-//! WAL as a logical redo record (see [`crate::journal`]) and sealed in the
+//! WAL as a logical redo record (see the `journal` module) and sealed in the
 //! same sequencing critical section that stamps it into the version graph,
 //! so the journal's commit order always matches the store's commit order.
 //! [`Database::flush`] is a full checkpoint: it persists every engine
@@ -73,7 +73,7 @@
 //! the store state can no longer be represented in the journal; the
 //! database then refuses further journaled writes — reads keep working —
 //! until the directory is reopened, which restores the journaled prefix
-//! of history (see [`Database::journaled`]).
+//! of history.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -430,7 +430,7 @@ impl Database {
     }
 
     /// Starts a fluent multi-branch read over an explicit branch list:
-    /// `db.read_branches(&ids).parallel(n).annotated()`.
+    /// `db.read_branches(&ids).filter(p).annotated()`.
     pub fn read_branches(&self, branches: &[BranchId]) -> MultiReadBuilder<'_> {
         MultiReadBuilder::new(self, BranchSel::Explicit(branches.to_vec()))
     }
@@ -739,22 +739,6 @@ impl Database {
         Ok(cid)
     }
 
-    /// Commit-path observability: fsync grouping and concurrency counters
-    /// (see [`JournalStats`]). The benchmark's commit workload reads these
-    /// to show k disjoint writers sharing fsyncs; tests read them to prove
-    /// disjoint-branch commits really overlap.
-    ///
-    /// A thin compatibility view over [`Database::metrics`]: the same
-    /// values live in the registry as `wal/flushes`, `commit/grouped_txns`,
-    /// and the max of the `commit/in_flight` gauge.
-    pub fn journal_stats(&self) -> JournalStats {
-        JournalStats {
-            wal_flushes: self.wal.flush_count(),
-            grouped_txns: self.obs.grouped_txns.value(),
-            max_concurrent_commits: self.obs.in_flight.max(),
-        }
-    }
-
     /// The metrics registry every layer of this database registers its
     /// instruments with: buffer pool and heap files (`pool`, part of
     /// `scan`), WAL (`wal`), the commit and checkpoint paths (`commit`,
@@ -923,9 +907,10 @@ impl Database {
     /// post-checkpoint transactions, and `open` replays exactly that
     /// suffix.
     ///
-    /// Refused when the store has diverged from the journal (see
-    /// [`Database::journaled`]): checkpointing would promote the diverged
-    /// state to durable truth; reopen the directory instead.
+    /// Refused when the store has diverged from the journal (a commit
+    /// marker failed to persist, or a transaction failed partway through
+    /// mutating the store): checkpointing would promote the diverged state
+    /// to durable truth; reopen the directory instead.
     pub fn flush(&self) -> Result<()> {
         let span = self.obs.checkpoint_us.start();
         let mut store = self.store.write();
@@ -964,7 +949,8 @@ impl Database {
 ///
 /// * `commit/grouped_txns`, `commit/shard_contention` — counters;
 /// * `commit/in_flight` — gauge whose max is the concurrency high-water
-///   mark ([`JournalStats::max_concurrent_commits`]);
+///   mark: above 1 only when disjoint-branch commits truly overlapped
+///   inside their shard critical sections;
 /// * `commit/lock_wait_us`, `commit/commit_us` — latency histograms;
 /// * `checkpoint/checkpoints`, `checkpoint/replayed_txns` — counters;
 /// * `checkpoint/checkpoint_us`, `checkpoint/recovery_us` — durations.
@@ -1003,30 +989,6 @@ fn slow_threshold() -> Option<Duration> {
         .ok()
         .and_then(|v| v.trim().parse::<u64>().ok())
         .map(Duration::from_millis)
-}
-
-/// Commit-path concurrency and fsync-grouping counters, from
-/// [`Database::journal_stats`].
-///
-/// `grouped_txns / wal_flushes` is the average number of committed
-/// transactions each WAL flush made durable — the group-commit
-/// amortization factor (1.0 means every commit paid its own flush).
-/// `max_concurrent_commits` is the high-water mark of commits observed
-/// inside their shard critical sections simultaneously; it exceeds 1 only
-/// when disjoint-branch commits truly overlapped.
-///
-/// All three values are views over the database's metrics registry
-/// ([`Database::metrics`]); this struct predates it and is kept as the
-/// stable, typed summary the benchmark harness prints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JournalStats {
-    /// WAL buffer flushes (each one group-write + at most one fsync).
-    pub wal_flushes: u64,
-    /// Session transactions committed through the group-commit path.
-    pub grouped_txns: u64,
-    /// High-water mark of commits concurrently inside the sharded
-    /// critical section (apply + prepare + sequence).
-    pub max_concurrent_commits: u64,
 }
 
 /// Removes any stale engine data under `dir` (the data directory is
@@ -1346,7 +1308,8 @@ mod tests {
         // the already-committed txn 1 again flushes the shared buffer
         // without committing txn 2.
         {
-            let wal = Wal::open(path.join("wal.log"), false).unwrap();
+            let wal =
+                Wal::open_in(&decibel_common::env::StdEnv, path.join("wal.log"), false).unwrap();
             wal.append(2, &journal::encode_begin(BranchId::MASTER))
                 .unwrap();
             wal.append(

@@ -11,8 +11,10 @@
 //! modifications, and *internal* segments frozen by branch operations,
 //! "after which only the segment's bitmap may change". The branch-segment
 //! bitmap lets scans skip segments with no live records and "allows for
-//! parallelization of segment scanning" — see this engine's override of
-//! [`VersionedStore::par_multi_scan`].
+//! parallelization of segment scanning": a merge decodes its per-segment
+//! change sets as parallel tasks on the engine's [`ScanPool`]. Scans
+//! themselves stream sequentially through one [`SegmentedScan`] — a
+//! materialising per-segment fan-out measured no faster on two cores.
 //!
 //! # Concurrency
 //!
@@ -50,17 +52,15 @@ use parking_lot::RwLock;
 
 use crate::checkpoint;
 use crate::engine::pk::{self, HeapRows, PkIndex};
-use crate::engine::scan::{
-    scan_annotated_slice, AnnotatedScan, BitmapScan, ColumnAnnotatedScan, Seg, SegmentedScan,
-};
+use crate::engine::scan::{decode_rows, BranchColumnScan, Seg, SegmentedScan};
 use crate::merge::{plan_merge, ChangeSet, MergeAction};
 use crate::pool::ScanPool;
 use crate::query::plan::ScanPlan;
 use crate::shard::PreparedCommit;
 use crate::store::VersionedStore;
 use crate::types::{
-    AnnotatedIter, AnnotatedSlotCursor, DiffResult, EngineKind, MergePolicy, MergeResult,
-    RecordIter, SlotCursor, StoreStats, VersionRef,
+    AnnotatedSlotCursor, DiffResult, EngineKind, MergePolicy, MergeResult, SlotCursor, StoreStats,
+    VersionRef,
 };
 
 /// One hybrid segment: heap file + local bitmap index + per-branch commit
@@ -104,9 +104,9 @@ pub struct HybridEngine {
     branch_commits: Vec<AtomicU64>,
     /// Global commit id → (branch, branch-commit ordinal).
     commit_map: RwLock<FxHashMap<CommitId, (BranchId, u64)>>,
-    /// Persistent work-stealing pool for parallel segment scans, sized to
-    /// the machine once per engine on first parallel scan (no threads are
-    /// spawned per call).
+    /// Persistent work-stealing pool for a merge's per-segment change-set
+    /// tasks, sized to the machine once per engine on first use (no
+    /// threads are spawned per call).
     scan_pool: OnceLock<ScanPool>,
     /// Whether checkpoint flushes fsync (from [`StoreConfig::fsync`]).
     fsync: bool,
@@ -495,9 +495,10 @@ impl HybridEngine {
     /// Builds a change set of `side` relative to `base` per-segment bitmaps.
     ///
     /// The per-segment record scans run as one task per segment on the
-    /// engine's persistent [`ScanPool`] — the same work-stealing fan-out
-    /// `par_multi_scan` uses, so a merge whose diff touches many segments
-    /// no longer pays for them sequentially. Combining the task outputs is
+    /// engine's persistent work-stealing [`ScanPool`], so a merge whose
+    /// diff touches many segments does not pay for them sequentially. Each
+    /// task decodes the rows of the segment's `and_not` bitmap
+    /// ([`decode_rows`]). Combining the task outputs is
     /// order-independent within each phase (a version holds exactly one
     /// live copy per key, so no two added-row tasks — and no two
     /// removed-row tasks — can produce the same key); the *phases* keep
@@ -532,16 +533,13 @@ impl HybridEngine {
                 plan.push((*seg, removed, true));
             }
         }
-        let segments = &self.segments;
+        let removed_phase: Vec<bool> = plan.iter().map(|&(_, _, removed)| removed).collect();
+        let schema = &self.schema;
         let tasks: Vec<_> = plan
-            .iter()
-            .map(|(seg, bm, _)| {
-                let heap = &segments[seg.index()].heap;
-                move || {
-                    BitmapScan::new(heap, bm.clone())
-                        .map(|item| item.map(|(_, rec)| rec))
-                        .collect::<Result<Vec<Record>>>()
-                }
+            .into_iter()
+            .map(|(seg, rows, _)| {
+                let rows = vec![self.seg(seg, rows, ())];
+                move || decode_rows(rows, schema)
             })
             .collect();
         let outcomes = if tasks.len() > 1 {
@@ -551,7 +549,7 @@ impl HybridEngine {
         };
         let mut changes = ChangeSet::default();
         let mut bytes = 0u64;
-        for ((_, _, removed), rows) in plan.iter().zip(outcomes) {
+        for (removed, rows) in removed_phase.iter().zip(outcomes) {
             for rec in rows? {
                 bytes += self.schema.record_size() as u64;
                 if *removed {
@@ -565,10 +563,21 @@ impl HybridEngine {
     }
 
     /// The engine's persistent scan pool (spawned on first use, reused for
-    /// every parallel scan thereafter).
+    /// every merge thereafter).
     fn scan_pool(&self) -> &ScanPool {
         self.scan_pool
             .get_or_init(|| ScanPool::new(ScanPool::default_threads()))
+    }
+
+    /// Segment `id` as one heap of a planned scan over the rows set in
+    /// `live`.
+    fn seg<A>(&self, id: SegmentId, live: Bitmap, ann: A) -> Seg<'_, A> {
+        Seg {
+            id,
+            heap: &self.segments[id.index()].heap,
+            live,
+            ann,
+        }
     }
 
     /// Shared planning for multi-branch scans: per relevant segment, the
@@ -788,105 +797,6 @@ impl VersionedStore for HybridEngine {
         Ok(None)
     }
 
-    fn scan(&self, version: VersionRef) -> Result<RecordIter<'_>> {
-        let bitmaps = self.version_bitmaps(version)?;
-        Ok(Box::new(
-            HyScan {
-                engine: self,
-                segs: bitmaps,
-                pos: 0,
-                inner: None,
-            }
-            .map(|item| item.map(|(_, _, rec)| rec)),
-        ))
-    }
-
-    fn multi_scan(&self, branches: &[BranchId]) -> Result<AnnotatedIter<'_>> {
-        let plan = self.multi_scan_plan(branches)?;
-        Ok(Box::new(HyAnnotatedScan {
-            engine: self,
-            plan: plan.into_iter(),
-            inner: None,
-        }))
-    }
-
-    /// Parallel multi-branch scan: one work-stealing task per segment on
-    /// the engine's persistent [`ScanPool`] — the parallelism the
-    /// branch-segment bitmap "allows for" (§3.4). Per-segment granularity
-    /// means skewed segment sizes no longer serialize on the largest fixed
-    /// chunk: idle workers steal the remaining segments. Results are
-    /// materialized per segment and returned in (segment, slot) order,
-    /// byte-identical to [`VersionedStore::multi_scan`] for any `threads`.
-    ///
-    /// `threads` is a hint kept for API compatibility: values ≤ 1 run the
-    /// plan inline on the calling thread; anything larger routes through
-    /// the pool (whose size is fixed per engine, not per call).
-    fn par_multi_scan(
-        &self,
-        branches: &[BranchId],
-        threads: usize,
-    ) -> Result<Vec<(Record, Vec<BranchId>)>> {
-        let plan = self.multi_scan_plan(branches)?;
-        // Every task's output size is known exactly (the union popcount),
-        // so tasks write straight into disjoint spare-capacity slices of
-        // the result vector: rows are materialized once, in place — no
-        // per-task intermediate vector, no flatten copy, no sort (plan
-        // entries are in ascending segment order and the pool returns
-        // outcomes in task order).
-        let counts: Vec<usize> = plan
-            .iter()
-            .map(|(_, union, _)| union.count_ones() as usize)
-            .collect();
-        let total: usize = counts.iter().sum();
-        let mut flat: Vec<(Record, Vec<BranchId>)> = Vec::with_capacity(total);
-        let segments = &self.segments;
-        let outcomes = {
-            let mut spare = &mut flat.spare_capacity_mut()[..total];
-            let mut tasks = Vec::with_capacity(plan.len());
-            for ((seg, union, cols), &count) in plan.iter().zip(&counts) {
-                let (slot, rest) = spare.split_at_mut(count);
-                spare = rest;
-                let heap = &segments[seg.index()].heap;
-                tasks.push(move || scan_annotated_slice(heap, union, cols, slot));
-            }
-            if threads <= 1 || tasks.len() <= 1 {
-                tasks.into_iter().map(|mut t| t()).collect::<Vec<_>>()
-            } else {
-                self.scan_pool().run(tasks)
-            }
-        };
-        if outcomes.iter().any(|o| o.is_err()) {
-            // Failed scan: drop whatever rows were initialized (full slices
-            // for Ok tasks, the reported prefix for failed ones) and
-            // surface the first error.
-            let spare = flat.spare_capacity_mut();
-            let mut off = 0usize;
-            let mut first_err = None;
-            for (i, outcome) in outcomes.into_iter().enumerate() {
-                let initialized = match outcome {
-                    Ok(()) => counts[i],
-                    Err((filled, e)) => {
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        }
-                        filled
-                    }
-                };
-                for cell in &mut spare[off..off + initialized] {
-                    // SAFETY: exactly `initialized` leading cells of this
-                    // task's slice were written.
-                    unsafe { cell.assume_init_drop() };
-                }
-                off += counts[i];
-            }
-            return Err(first_err.expect("an error outcome was observed"));
-        }
-        // SAFETY: every task returned Ok, which certifies it initialized
-        // its entire `count`-cell slice; the slices tile `[0, total)`.
-        unsafe { flat.set_len(total) };
-        Ok(flat)
-    }
-
     fn scan_pipeline(
         &self,
         version: VersionRef,
@@ -896,12 +806,7 @@ impl VersionedStore for HybridEngine {
         let segs = self
             .version_bitmaps(version)?
             .into_iter()
-            .map(|(id, live)| Seg {
-                id,
-                heap: &self.segments[id.index()].heap,
-                live,
-                ann: (),
-            })
+            .map(|(id, live)| self.seg(id, live, ()))
             .collect();
         Ok(Box::new(SegmentedScan::new(
             segs,
@@ -919,14 +824,9 @@ impl VersionedStore for HybridEngine {
         let segs = self
             .multi_scan_plan(branches)?
             .into_iter()
-            .map(|(id, live, ann)| Seg {
-                id,
-                heap: &self.segments[id.index()].heap,
-                live,
-                ann,
-            })
+            .map(|(id, live, ann)| self.seg(id, live, ann))
             .collect();
-        Ok(Box::new(ColumnAnnotatedScan::new(
+        Ok(Box::new(BranchColumnScan::new(
             segs,
             plan.page_predicate(),
             from,
@@ -937,23 +837,21 @@ impl VersionedStore for HybridEngine {
         let lmaps: FxHashMap<SegmentId, Bitmap> = self.version_bitmaps(left)?.into_iter().collect();
         let rmaps: FxHashMap<SegmentId, Bitmap> =
             self.version_bitmaps(right)?.into_iter().collect();
-        let mut out = DiffResult::default();
         let mut segs: Vec<SegmentId> = lmaps.keys().chain(rmaps.keys()).copied().collect();
         segs.sort_unstable();
         segs.dedup();
         let empty = Bitmap::new();
+        let (mut left, mut right) = (Vec::new(), Vec::new());
         for seg in segs {
             let l = lmaps.get(&seg).unwrap_or(&empty);
             let r = rmaps.get(&seg).unwrap_or(&empty);
-            let heap = &self.segments[seg.index()].heap;
-            for item in BitmapScan::new(heap, l.and_not(r)) {
-                out.left_only.push(item?.1);
-            }
-            for item in BitmapScan::new(heap, r.and_not(l)) {
-                out.right_only.push(item?.1);
-            }
+            left.push(self.seg(seg, l.and_not(r), ()));
+            right.push(self.seg(seg, r.and_not(l), ()));
         }
-        Ok(out)
+        Ok(DiffResult {
+            left_only: decode_rows(left, &self.schema)?,
+            right_only: decode_rows(right, &self.schema)?,
+        })
     }
 
     fn merge(
@@ -1167,69 +1065,10 @@ impl VersionedStore for HybridEngine {
     }
 }
 
-/// Streaming word-batched multi-branch scan: one [`AnnotatedScan`] per
-/// planned segment, visited in segment order.
-struct HyAnnotatedScan<'a> {
-    engine: &'a HybridEngine,
-    #[allow(clippy::type_complexity)]
-    plan: std::vec::IntoIter<(SegmentId, Bitmap, Vec<(BranchId, Bitmap)>)>,
-    inner: Option<AnnotatedScan<'a>>,
-}
-
-impl Iterator for HyAnnotatedScan<'_> {
-    type Item = Result<(Record, Vec<BranchId>)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(scan) = &mut self.inner {
-                if let Some(item) = scan.next() {
-                    return Some(item.map(|(_, rec, live)| (rec, live)));
-                }
-                self.inner = None;
-            }
-            let (seg, union, cols) = self.plan.next()?;
-            self.inner = Some(AnnotatedScan::new(
-                &self.engine.segments[seg.index()].heap,
-                union,
-                cols,
-            ));
-        }
-    }
-}
-
-/// Streaming scan over a version's per-segment bitmaps.
-struct HyScan<'a> {
-    engine: &'a HybridEngine,
-    segs: Vec<(SegmentId, Bitmap)>,
-    pos: usize,
-    inner: Option<BitmapScan<'a>>,
-}
-
-impl Iterator for HyScan<'_> {
-    type Item = Result<(SegmentId, RecordIdx, Record)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(scan) = &mut self.inner {
-                if let Some(item) = scan.next() {
-                    let seg = self.segs[self.pos - 1].0;
-                    return Some(item.map(|(idx, rec)| (seg, idx, rec)));
-                }
-                self.inner = None;
-            }
-            let (seg, bm) = self.segs.get(self.pos)?;
-            self.pos += 1;
-            self.inner = Some(BitmapScan::new(
-                &self.engine.segments[seg.index()].heap,
-                bm.clone(),
-            ));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::RecordIter;
 
     fn engine() -> (tempfile::TempDir, HybridEngine) {
         let dir = tempfile::tempdir().unwrap();
@@ -1402,36 +1241,6 @@ mod tests {
             .collect();
         rows.sort_unstable();
         assert_eq!(rows, vec![(1, 2), (2, 1), (3, 1)]);
-    }
-
-    #[test]
-    fn parallel_multi_scan_matches_sequential() {
-        let (_d, mut eng) = engine();
-        for k in 0..20 {
-            eng.insert(BranchId::MASTER, rec(k, k)).unwrap();
-        }
-        let dev = eng.create_branch("dev", BranchId::MASTER.into()).unwrap();
-        for k in 20..30 {
-            eng.insert(dev, rec(k, k)).unwrap();
-        }
-        eng.update(dev, rec(5, 500)).unwrap();
-        let mut seq: Vec<(u64, Vec<BranchId>)> = eng
-            .multi_scan(&[BranchId::MASTER, dev])
-            .unwrap()
-            .map(|r| {
-                let (rec, b) = r.unwrap();
-                (rec.key(), b)
-            })
-            .collect();
-        let mut par: Vec<(u64, Vec<BranchId>)> = eng
-            .par_multi_scan(&[BranchId::MASTER, dev], 4)
-            .unwrap()
-            .into_iter()
-            .map(|(rec, b)| (rec.key(), b))
-            .collect();
-        seq.sort();
-        par.sort();
-        assert_eq!(seq, par);
     }
 
     #[test]

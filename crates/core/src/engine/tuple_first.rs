@@ -42,14 +42,14 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::checkpoint;
 use crate::engine::pk::{self, HeapRows, PkIndex};
-use crate::engine::scan::{AnnotatedScan, BitmapScan, ColumnAnnotatedScan, Seg, SegmentedScan};
+use crate::engine::scan::{decode_rows, BranchColumnScan, Seg, SegmentedScan};
 use crate::merge::{plan_merge, ChangeSet, MergeAction};
 use crate::query::plan::ScanPlan;
 use crate::shard::PreparedCommit;
 use crate::store::VersionedStore;
 use crate::types::{
-    AnnotatedIter, AnnotatedSlotCursor, DiffResult, EngineKind, MergePolicy, MergeResult,
-    RecordIter, SlotCursor, StoreStats, VersionRef,
+    AnnotatedSlotCursor, DiffResult, EngineKind, MergePolicy, MergeResult, SlotCursor, StoreStats,
+    VersionRef,
 };
 
 /// Maps an index orientation to its [`EngineKind`] label.
@@ -322,20 +322,32 @@ impl<I: IndexOrientation> TupleFirstEngine<I> {
     fn change_set(&self, branch_bm: &Bitmap, base_bm: &Bitmap) -> Result<(ChangeSet, u64)> {
         let mut changes = ChangeSet::default();
         let mut bytes = 0u64;
-        let added = branch_bm.and_not(base_bm);
-        for item in BitmapScan::new(&self.heap, added) {
-            let (_, rec) = item?;
+        for rec in self.records(branch_bm.and_not(base_bm))? {
             bytes += self.schema.record_size() as u64;
             changes.insert(rec.key(), Some(rec));
         }
-        let removed = base_bm.and_not(branch_bm);
-        for item in BitmapScan::new(&self.heap, removed) {
-            let (_, rec) = item?;
+        for rec in self.records(base_bm.and_not(branch_bm))? {
             bytes += self.schema.record_size() as u64;
             // A removed base row with no replacement copy is a deletion.
             changes.entry(rec.key()).or_insert(None);
         }
         Ok((changes, bytes))
+    }
+
+    /// The heap as the one segment (id 0) of a planned scan, restricted to
+    /// the rows set in `live` — so resume tokens are slot + 1.
+    fn seg<A>(&self, live: Bitmap, ann: A) -> Seg<'_, A> {
+        Seg {
+            id: SegmentId(0),
+            heap: &self.heap,
+            live,
+            ann,
+        }
+    }
+
+    /// Decodes the heap rows set in `rows`, in slot order.
+    fn records(&self, rows: Bitmap) -> Result<Vec<Record>> {
+        decode_rows(vec![self.seg(rows, ())], &self.schema)
     }
 }
 
@@ -487,41 +499,14 @@ impl<I: IndexOrientation> VersionedStore for TupleFirstEngine<I> {
         Ok(None)
     }
 
-    fn scan(&self, version: VersionRef) -> Result<RecordIter<'_>> {
-        let bm = self.version_bitmap(version)?;
-        Ok(Box::new(
-            BitmapScan::new(&self.heap, bm).map(|r| r.map(|(_, rec)| rec)),
-        ))
-    }
-
-    fn multi_scan(&self, branches: &[BranchId]) -> Result<AnnotatedIter<'_>> {
-        // "a multi-branch query can quickly emit which branches contain any
-        // tuple without needing to resolve deltas" (§3.2): one word-batched
-        // pass over the heap driven by the union bitmap, annotating each
-        // record from cached per-branch column words (64 liveness bits per
-        // step, not one `get` per branch per row).
-        let (union, columns) = self.union_columns(branches)?;
-        Ok(Box::new(
-            AnnotatedScan::new(&self.heap, union, columns)
-                .map(|item| item.map(|(_, rec, live)| (rec, live))),
-        ))
-    }
-
     fn scan_pipeline(
         &self,
         version: VersionRef,
         plan: &ScanPlan,
         from: u64,
     ) -> Result<Box<dyn SlotCursor + '_>> {
-        // One heap = one segment (id 0), so resume tokens are slot + 1.
-        let seg = Seg {
-            id: SegmentId(0),
-            heap: &self.heap,
-            live: self.version_bitmap(version)?,
-            ann: (),
-        };
         Ok(Box::new(SegmentedScan::new(
-            vec![seg],
+            vec![self.seg(self.version_bitmap(version)?, ())],
             plan.page_predicate(),
             from,
         )))
@@ -533,15 +518,14 @@ impl<I: IndexOrientation> VersionedStore for TupleFirstEngine<I> {
         plan: &ScanPlan,
         from: u64,
     ) -> Result<Box<dyn AnnotatedSlotCursor + '_>> {
+        // "a multi-branch query can quickly emit which branches contain any
+        // tuple without needing to resolve deltas" (§3.2): one word-batched
+        // pass over the heap driven by the union bitmap, annotating each
+        // row from cached per-branch column words (64 liveness bits per
+        // step, not one `get` per branch per row).
         let (union, columns) = self.union_columns(branches)?;
-        let seg = Seg {
-            id: SegmentId(0),
-            heap: &self.heap,
-            live: union,
-            ann: columns,
-        };
-        Ok(Box::new(ColumnAnnotatedScan::new(
-            vec![seg],
+        Ok(Box::new(BranchColumnScan::new(
+            vec![self.seg(union, columns)],
             plan.page_predicate(),
             from,
         )))
@@ -553,14 +537,10 @@ impl<I: IndexOrientation> VersionedStore for TupleFirstEngine<I> {
         // iterator" (§3.2).
         let lbm = self.version_bitmap(left)?;
         let rbm = self.version_bitmap(right)?;
-        let mut out = DiffResult::default();
-        for item in BitmapScan::new(&self.heap, lbm.and_not(&rbm)) {
-            out.left_only.push(item?.1);
-        }
-        for item in BitmapScan::new(&self.heap, rbm.and_not(&lbm)) {
-            out.right_only.push(item?.1);
-        }
-        Ok(out)
+        Ok(DiffResult {
+            left_only: self.records(lbm.and_not(&rbm))?,
+            right_only: self.records(rbm.and_not(&lbm))?,
+        })
     }
 
     fn merge(
@@ -738,6 +718,7 @@ impl<I: IndexOrientation> VersionedStore for TupleFirstEngine<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::RecordIter;
 
     fn engine() -> (tempfile::TempDir, TupleFirstBranchEngine) {
         let dir = tempfile::tempdir().unwrap();

@@ -43,14 +43,14 @@ use decibel_vgraph::VersionGraph;
 use parking_lot::RwLock;
 
 use crate::checkpoint;
-use crate::engine::scan::{BitmapScan, Seg, SegmentedScan};
+use crate::engine::scan::{Seg, SegmentedScan};
 use crate::merge::{plan_merge, ChangeSet, MergeAction};
 use crate::query::plan::{PagePredicate, ScanPlan};
 use crate::shard::PreparedCommit;
 use crate::store::VersionedStore;
 use crate::types::{
-    AnnotatedIter, AnnotatedSlot, AnnotatedSlotCursor, DiffResult, EngineKind, MergePolicy,
-    MergeResult, RecordIter, SlotCursor, StoreStats, VersionRef,
+    AnnotatedSlot, AnnotatedSlotCursor, DiffResult, EngineKind, MergePolicy, MergeResult,
+    SlotCursor, StoreStats, VersionRef,
 };
 
 /// One segment file: a heap of appended records plus branch points into its
@@ -685,24 +685,6 @@ impl VersionedStore for VersionFirstEngine {
         Ok(None)
     }
 
-    fn scan(&self, version: VersionRef) -> Result<RecordIter<'_>> {
-        let start = self.resolve(version)?;
-        Ok(Box::new(VfScan::new(self, self.scan_order(start))))
-    }
-
-    fn multi_scan(&self, branches: &[BranchId]) -> Result<AnnotatedIter<'_>> {
-        // §3.3's two-pass algorithm. Pass 1 ([`multi_scan_winners`]) builds
-        // per-segment winner maps; pass 2 emits records in (segment, slot)
-        // order — the paper's record-id-ordered priority queue — reading
-        // each segment once more.
-        Ok(Box::new(VfMultiScan {
-            engine: self,
-            segs: self.multi_scan_winners(branches)?,
-            pos: 0,
-            inner: None,
-        }))
-    }
-
     fn scan_pipeline(
         &self,
         version: VersionRef,
@@ -745,7 +727,7 @@ impl VersionedStore for VersionFirstEngine {
                 ann,
             })
             .collect();
-        Ok(Box::new(VfAnnotatedScan(SegmentedScan::new(
+        Ok(Box::new(VfWinnerScan(SegmentedScan::new(
             segs,
             plan.page_predicate(),
             from,
@@ -931,94 +913,11 @@ impl VersionedStore for VersionFirstEngine {
     }
 }
 
-/// Streaming single-version scan: walks the precedence-topological segment
-/// order, newest record first within each segment, suppressing shadowed
-/// keys and tombstones via the emitted set.
-struct VfScan<'a> {
-    engine: &'a VersionFirstEngine,
-    order: Vec<(SegmentId, u64, u64)>,
-    next_seg: usize,
-    inner: Option<decibel_pagestore::HeapScan<'a>>,
-    emitted: FxHashSet<u64>,
-}
-
-impl<'a> VfScan<'a> {
-    fn new(engine: &'a VersionFirstEngine, order: Vec<(SegmentId, u64, u64)>) -> Self {
-        VfScan {
-            engine,
-            order,
-            next_seg: 0,
-            inner: None,
-            emitted: FxHashSet::default(),
-        }
-    }
-}
-
-impl Iterator for VfScan<'_> {
-    type Item = Result<Record>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(scan) = &mut self.inner {
-                for item in scan.by_ref() {
-                    match item {
-                        Err(e) => return Some(Err(e)),
-                        Ok((_, rec)) => {
-                            if self.emitted.insert(rec.key()) && !rec.is_tombstone() {
-                                return Some(Ok(rec));
-                            }
-                        }
-                    }
-                }
-                self.inner = None;
-            }
-            let &(seg, lo, hi) = self.order.get(self.next_seg)?;
-            self.next_seg += 1;
-            self.inner = Some(
-                self.engine
-                    .seg(seg)
-                    .heap
-                    .scan_rev(RecordIdx(lo), RecordIdx(hi)),
-            );
-        }
-    }
-}
-
-/// Pass-2 emitter of the multi-branch scan: streams winning records in
-/// (segment, slot) order with branch annotations.
-struct VfMultiScan<'a> {
-    engine: &'a VersionFirstEngine,
-    segs: Vec<(SegmentId, Bitmap, FxHashMap<u64, Vec<BranchId>>)>,
-    pos: usize,
-    inner: Option<BitmapScan<'a>>,
-}
-
-impl Iterator for VfMultiScan<'_> {
-    type Item = Result<(Record, Vec<BranchId>)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(scan) = &mut self.inner {
-                if let Some(item) = scan.next() {
-                    let (seg, _, slots) = &self.segs[self.pos - 1];
-                    let _ = seg;
-                    return Some(item.map(|(idx, rec)| {
-                        let branches = slots.get(&idx.raw()).cloned().unwrap_or_default();
-                        (rec, branches)
-                    }));
-                }
-                self.inner = None;
-            }
-            let (seg, bm, _) = self.segs.get(self.pos)?;
-            self.pos += 1;
-            self.inner = Some(BitmapScan::new(&self.engine.seg(*seg).heap, bm.clone()));
-        }
-    }
-}
-
-/// Planned variant of [`VfScan`]: the emitted-set walk driven by key
-/// peeks, with the lowered predicate evaluated per-slot against pinned
-/// page bytes; passing rows are yielded as their slot bytes.
+/// The single-version scan: walks the precedence-topological segment
+/// order, newest slot first within each segment, suppressing shadowed keys
+/// and tombstones via the emitted set. Liveness comes from key peeks; the
+/// lowered predicate is evaluated per slot against pinned page bytes, and
+/// passing rows are yielded as their slot bytes.
 ///
 /// Version-first has no bitmap, so its resume tokens count *raw slots
 /// walked*: resuming replays the token's prefix with key peeks only — no
@@ -1085,9 +984,9 @@ impl SlotCursor for VfSlotScan<'_> {
 /// over each segment's winner bitmap, annotated from its `slot → branches`
 /// winner map (see
 /// [`VersionFirstEngine::multi_scan_pipeline`](VersionedStore::multi_scan_pipeline)).
-struct VfAnnotatedScan<'a>(SegmentedScan<'a, FxHashMap<u64, Vec<BranchId>>>);
+struct VfWinnerScan<'a>(SegmentedScan<'a, FxHashMap<u64, Vec<BranchId>>>);
 
-impl AnnotatedSlotCursor for VfAnnotatedScan<'_> {
+impl AnnotatedSlotCursor for VfWinnerScan<'_> {
     fn next_slot(&mut self) -> Result<Option<AnnotatedSlot<'_>>> {
         let Some((pos, idx)) = self.0.advance()? else {
             return Ok(None);
@@ -1101,6 +1000,7 @@ impl AnnotatedSlotCursor for VfAnnotatedScan<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::RecordIter;
 
     fn engine() -> (tempfile::TempDir, VersionFirstEngine) {
         let dir = tempfile::tempdir().unwrap();

@@ -33,7 +33,7 @@ pub mod store;
 pub mod types;
 
 pub use cursor::{MultiScanCursor, ScanCursor};
-pub use db::{Database, JournalStats};
+pub use db::Database;
 pub use engine::{
     HybridEngine, TupleFirstBranchEngine, TupleFirstEngine, TupleFirstTupleEngine,
     VersionFirstEngine,

@@ -1,18 +1,15 @@
-//! A persistent work-stealing pool for parallel segment scans.
+//! A persistent work-stealing pool for per-segment work.
 //!
 //! The hybrid engine's branch-segment bitmap "allows for parallelization
-//! of segment scanning" (§3.4). Earlier revisions realized that with
-//! crossbeam scoped threads spawned *per call* and a fixed
-//! `chunks(n / threads)` split of the segment list — so every scan paid
-//! thread spawn/join, and a skewed segment-size distribution serialized on
-//! whichever thread drew the largest chunk. This pool fixes both: workers
-//! are spawned once per engine and parked between calls, and scans submit
-//! one task per *segment* to a work-stealing deque (`crossbeam::deque`),
-//! so idle workers steal the tail of a skewed distribution instead of
-//! waiting it out.
+//! of segment scanning" (§3.4); the hybrid merge uses this pool to decode
+//! its per-segment change sets in parallel, and the benchmark harness to
+//! load datasets. Workers are spawned once per pool and parked between
+//! calls, and callers submit one task per *segment* to a work-stealing
+//! deque (`crossbeam::deque`), so idle workers steal the tail of a skewed
+//! segment-size distribution instead of waiting it out.
 //!
 //! [`ScanPool::run`] is scoped: tasks may borrow from the caller's stack
-//! (the engine's segments, a scan plan) because `run` does not return
+//! (the engine's segments, a merge plan) because `run` does not return
 //! until every submitted task has completed — the same guarantee
 //! `std::thread::scope` provides, enforced here with a completion latch.
 
@@ -108,8 +105,8 @@ impl Latch {
     }
 }
 
-/// A fixed set of worker threads executing scan tasks, sized once per
-/// engine and reused across every `par_multi_scan` call.
+/// A fixed set of worker threads executing per-segment tasks, sized once
+/// per engine and reused across every call.
 pub struct ScanPool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,

@@ -1,13 +1,11 @@
 //! The fluent query builder — the primary read surface of
-//! [`Database`](crate::db::Database).
+//! [`Database`].
 //!
 //! Builders assemble the internal [`Query`] plan and execute it under the
 //! database's shared read lock, so concurrent readers proceed in parallel.
-//! [`MultiReadBuilder::parallel`] additionally requests *intra*-query
-//! parallelism: the plan routes through
-//! [`VersionedStore::par_multi_scan`](crate::store::VersionedStore::par_multi_scan)
-//! (the hybrid engine's work-stealing per-segment scan) without any
-//! downcasting.
+//! Every terminal runs the engine's one planned scan, the streaming slot
+//! cursor; [`MultiReadBuilder::parallel`] is accepted and ignored (there
+//! is no intra-query parallel scan — see its docs).
 //!
 //! Each terminal is a single-statement **read-committed snapshot**:
 //! transactions apply atomically under the store's write lock, so a
@@ -51,10 +49,9 @@
 //!     .unwrap();
 //! assert_eq!(evens.len(), 5);
 //!
-//! // Multi-branch annotated read, fanned out over 4 scan threads.
+//! // Multi-branch annotated read.
 //! let rows = db
 //!     .read_branches(&[BranchId::MASTER, dev])
-//!     .parallel(4)
 //!     .annotated()
 //!     .unwrap();
 //! assert_eq!(rows.len(), 11); // 10 shared rows + 1 dev-only row
@@ -66,7 +63,7 @@ use decibel_common::record::Record;
 use decibel_common::{Projection, Result};
 
 use crate::db::Database;
-use crate::query::{execute, AggKind, Predicate, Query, QueryOutput};
+use crate::query::{AggKind, Predicate, Query, QueryOutput};
 use crate::store::VersionedStore;
 use crate::types::VersionRef;
 
@@ -218,7 +215,6 @@ pub struct MultiReadBuilder<'a> {
     db: &'a Database,
     sel: BranchSel,
     predicate: Predicate,
-    parallel: usize,
     projection: Projection,
 }
 
@@ -228,7 +224,6 @@ impl<'a> MultiReadBuilder<'a> {
             db,
             sel,
             predicate: Predicate::True,
-            parallel: 1,
             projection: Projection::All,
         }
     }
@@ -248,12 +243,11 @@ impl<'a> MultiReadBuilder<'a> {
         self
     }
 
-    /// Requests intra-query parallelism: fan the scan out over up to
-    /// `threads` workers (values ≤ 1 scan sequentially). Engines without a
-    /// parallel scan fall back to the sequential path with identical
-    /// results.
-    pub fn parallel(mut self, threads: usize) -> Self {
-        self.parallel = threads;
+    /// Accepted and ignored: the scan always streams through the engine's
+    /// sequential slot cursor. The materialising per-segment fan-out this
+    /// once selected measured no faster than the cursor on two cores, so
+    /// it was deleted; the method stays so existing callers compile.
+    pub fn parallel(self, _threads: usize) -> Self {
         self
     }
 
@@ -264,27 +258,28 @@ impl<'a> MultiReadBuilder<'a> {
             db,
             sel,
             predicate,
-            parallel,
             projection,
         } = self;
-        db.with_store(|store| {
-            let branches = resolve(store, &sel);
-            let q = Query::MultiBranchScan {
+        let q = match sel {
+            BranchSel::Explicit(branches) => Query::MultiBranchScan {
                 branches,
                 predicate,
-                parallel,
                 projection,
-            };
-            match execute(store, &q)? {
-                QueryOutput::Annotated(rows) => Ok(rows),
-                _ => unreachable!("MultiBranchScan returns annotated rows"),
-            }
-        })
+            },
+            BranchSel::Heads { active_only } => Query::HeadScan {
+                predicate,
+                active_only,
+                projection,
+            },
+        };
+        match db.query(&q)? {
+            QueryOutput::Annotated(rows) => Ok(rows),
+            _ => unreachable!("multi-branch scans return annotated rows"),
+        }
     }
 
     /// Counts the qualifying (record, branch-set) rows by streaming the
-    /// sequential scan (slots are counted, never decoded) — the [`parallel`](MultiReadBuilder::parallel) hint (which
-    /// exists to parallelize materialization) does not apply here.
+    /// scan (slots are counted, never decoded).
     pub fn count(self) -> Result<u64> {
         let MultiReadBuilder {
             db, sel, predicate, ..

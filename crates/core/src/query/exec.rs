@@ -16,11 +16,11 @@ use crate::store::VersionedStore;
 /// `rows_scanned` counts slots the engine pipelines yielded to the query
 /// layer (candidates that survived page-level filtering, including rows a
 /// later liveness/overlay check drops); `rows_emitted` counts rows actually
-/// returned to the caller. Every planned scan counts under
-/// `plans_pushdown`; `plans_full_decode` counts the materializing
-/// `.parallel(n)` multi-branch scans, which decode whole records and filter
-/// afterwards. Their ratio is the post-pipeline selectivity;
-/// `selectivity_pct` records it per materialized query. Counting happens in
+/// returned to the caller; their ratio is the post-pipeline selectivity,
+/// which `selectivity_pct` records per materialized query. Every scan is
+/// planned and counts under `plans_pushdown`; no path increments
+/// `scan/plans_full_decode` any more — it stays registered for the
+/// append-only schema audit. Counting happens in
 /// per-query locals and is flushed to the shared counters once per query
 /// (or once per cursor chunk), so the per-row cost is a register increment.
 #[derive(Clone)]
@@ -29,7 +29,6 @@ pub struct ScanMetrics {
     pub(crate) rows_scanned: Counter,
     pub(crate) rows_emitted: Counter,
     pub(crate) plans_pushdown: Counter,
-    pub(crate) plans_full_decode: Counter,
     pub(crate) query_us: Histogram,
     pub(crate) selectivity_pct: Histogram,
 }
@@ -37,12 +36,13 @@ pub struct ScanMetrics {
 impl ScanMetrics {
     /// Registers the scan-family instruments in `metrics`.
     pub fn register(metrics: &Registry) -> ScanMetrics {
+        // Always zero now; registered so the schema stays append-only.
+        metrics.counter(family::SCAN, "plans_full_decode");
         ScanMetrics {
             queries: metrics.counter(family::SCAN, "queries"),
             rows_scanned: metrics.counter(family::SCAN, "rows_scanned"),
             rows_emitted: metrics.counter(family::SCAN, "rows_emitted"),
             plans_pushdown: metrics.counter(family::SCAN, "plans_pushdown"),
-            plans_full_decode: metrics.counter(family::SCAN, "plans_full_decode"),
             query_us: metrics.histogram(family::SCAN, "query_us"),
             selectivity_pct: metrics.histogram(family::SCAN, "selectivity_pct"),
         }
@@ -57,7 +57,6 @@ impl ScanMetrics {
             rows_scanned: Counter::detached(),
             rows_emitted: Counter::detached(),
             plans_pushdown: Counter::detached(),
-            plans_full_decode: Counter::detached(),
             query_us: Histogram::detached(),
             selectivity_pct: Histogram::detached(),
         }
@@ -202,29 +201,12 @@ pub fn execute_metered(
         Query::MultiBranchScan {
             branches,
             predicate,
-            parallel,
             projection,
         } => {
             projection.validate(store.schema())?;
             let plan = ScanPlan::new(predicate.clone(), projection.clone());
-            if *parallel > 1 {
-                // Fan the scan out over the engine's parallel path (the
-                // hybrid engine's work-stealing per-segment scan; other
-                // engines fall back to a materialized sequential scan).
-                // This path decodes whole records; filter + project after.
-                m.plans_full_decode.inc();
-                let rows = store.par_multi_scan(branches, *parallel)?;
-                scanned += rows.len() as u64;
-                QueryOutput::Annotated(
-                    rows.into_iter()
-                        .filter(|(_, live)| !live.is_empty())
-                        .filter_map(|(rec, live)| plan.apply(rec).map(|rec| (rec, live)))
-                        .collect(),
-                )
-            } else {
-                m.plans_pushdown.inc();
-                QueryOutput::Annotated(collect_annotated(store, branches, &plan, &mut scanned)?)
-            }
+            m.plans_pushdown.inc();
+            QueryOutput::Annotated(collect_annotated(store, branches, &plan, &mut scanned)?)
         }
         Query::Aggregate {
             version,
@@ -288,7 +270,7 @@ pub fn execute_metered(
     Ok(out)
 }
 
-/// Drains the sequential multi-branch pipeline into annotated records,
+/// Drains the multi-branch pipeline into annotated records,
 /// adding the slots it yielded to `scanned`.
 fn collect_annotated(
     store: &dyn VersionedStore,

@@ -111,11 +111,6 @@ pub enum Query {
         branches: Vec<BranchId>,
         /// Row filter.
         predicate: Predicate,
-        /// Intra-query parallelism hint: values > 1 route through
-        /// [`VersionedStore::par_multi_scan`](crate::store::VersionedStore::par_multi_scan)
-        /// with this many workers; ≤ 1 streams sequentially. Results are
-        /// identical either way.
-        parallel: usize,
         /// Columns to materialize (non-projected fields read `0`).
         projection: Projection,
     },

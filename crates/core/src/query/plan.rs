@@ -15,14 +15,12 @@
 //! fixed-width data column against constants, so every predicate lowers
 //! ([`PagePredicate::lower`] is infallible) and the engines' planned scans
 //! have one path: filter slots on the page, yield the survivors' bytes.
-//! [`ScanPlan::apply`] (decode the record, [`Predicate::eval`], then
-//! [`Record::project`]) is the reference the property tests hold that path
-//! to, and what session-overlay rows — which never sat on a page — go
-//! through.
+//! Decoding the record, [`Predicate::eval`], then
+//! [`Record::project`](decibel_common::record::Record::project) is the
+//! reference the property tests hold that path to.
 
 use decibel_common::error::Result;
 use decibel_common::projection::Projection;
-use decibel_common::record::Record;
 use decibel_pagestore::PinnedCursor;
 
 use super::predicate::Predicate;
@@ -59,19 +57,6 @@ impl ScanPlan {
     /// Lowers the filter for evaluation against pinned page bytes.
     pub fn page_predicate(&self) -> PagePredicate {
         PagePredicate::lower(&self.predicate)
-    }
-
-    /// Reference semantics: full-decode filter-then-project — what the
-    /// pushdown path must be equivalent to, and how rows that are not on a
-    /// page (session overlays, the parallel scan's materialized rows) are
-    /// filtered.
-    pub fn apply(&self, mut record: Record) -> Option<Record> {
-        if self.predicate.eval(&record) {
-            record.project(&self.projection);
-            Some(record)
-        } else {
-            None
-        }
     }
 }
 
@@ -219,6 +204,7 @@ impl PagePredicate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use decibel_common::record::Record;
     use decibel_common::schema::{ColumnType, Schema};
     use decibel_pagestore::{BufferPool, HeapFile};
     use std::sync::Arc;
@@ -304,15 +290,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn plan_apply_is_filter_then_project() {
-        let plan = ScanPlan::new(Predicate::ColGe(1, 10), Projection::of(&[1]));
-        assert_eq!(plan.apply(Record::new(1, vec![7, 9, 3])), None);
-        assert_eq!(
-            plan.apply(Record::new(1, vec![7, 11, 3])),
-            Some(Record::new(1, vec![0, 11, 0]))
-        );
     }
 }

@@ -232,8 +232,9 @@ impl Session {
         result
     }
 
-    /// Buffers an insert (validated against the session's view inside the
-    /// transaction — see [`Session::buffered_write`]).
+    /// Buffers an insert, validated against the session's view inside the
+    /// transaction: the branch's exclusive lock is taken first, so the
+    /// check cannot go stale before the commit.
     pub fn insert(&mut self, record: Record) -> Result<()> {
         self.buffered_write(|session| {
             let key = record.key();
@@ -331,8 +332,7 @@ impl Session {
     /// Applies the buffered transaction to the store, journals it, and
     /// creates a commit — the point of atomic visibility (§2.2.3).
     ///
-    /// Commits go through the sharded group-commit path
-    /// ([`Database::commit_txn`](crate::db::Database::commit_txn)): the
+    /// Commits go through the database's sharded group-commit path: the
     /// journal entries are sealed inside the same critical section that
     /// stamps the commit into the version graph, so journal order always
     /// matches commit order (what
@@ -573,7 +573,8 @@ mod tests {
         s.insert(rec(1, 1)).unwrap();
         s.commit().unwrap();
         drop(s);
-        let txns = decibel_pagestore::Wal::recover(database.dir().join("wal.log"))
+        let wal = database.dir().join("wal.log");
+        let txns = decibel_pagestore::Wal::recover_in(&decibel_common::env::StdEnv, wal)
             .unwrap()
             .txns;
         assert_eq!(txns.len(), 1);

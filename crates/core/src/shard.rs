@@ -13,7 +13,8 @@
 //! commits, exclusive for admin/flush) → shard lock → the WAL/graph
 //! sequencing mutex → engine-internal structure locks. Shard locks are
 //! always acquired while holding the store lock in *shared* mode, so any
-//! path that takes the store lock exclusively ([`Database::flush`],
+//! path that takes the store lock exclusively
+//! ([`Database::flush`](crate::db::Database::flush),
 //! branch/merge admin operations) has automatically quiesced every shard.
 //! [`ShardSet::quiesce`] additionally acquires every shard write lock in
 //! fixed index order, for callers that must pin all shards without the

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use decibel_common::ids::{BranchId, CommitId};
 use decibel_common::record::Record;
 use decibel_common::schema::Schema;
-use decibel_common::Result;
+use decibel_common::{Projection, Result};
 use decibel_vgraph::VersionGraph;
 
 use crate::query::plan::ScanPlan;
@@ -34,6 +34,20 @@ use crate::types::{
 /// * `diff`/`merge` compare record *copies*: a record counts as "modified
 ///   in a branch" if the branch's live copy differs from the comparison
 ///   version's live copy.
+///
+/// # One read primitive
+///
+/// Engines implement exactly one scan each way:
+/// [`scan_pipeline`](VersionedStore::scan_pipeline) and
+/// [`multi_scan_pipeline`](VersionedStore::multi_scan_pipeline), lending
+/// slot cursors over pinned heap pages (the paper's liveness-bitmap scan,
+/// §3.2/§3.4, and version-first's shadowing walk, §3.3). The record-level
+/// [`scan`](VersionedStore::scan), [`multi_scan`](VersionedStore::multi_scan)
+/// and [`live_count`](VersionedStore::live_count) are provided on top of
+/// them with an unfiltered, unprojected plan. There is no parallel scan:
+/// the query builders' `.parallel(n)` hint is accepted and ignored,
+/// because the materialising per-segment fan-out it used to select never
+/// beat the streaming cursor on the two-core benchmark machine.
 ///
 /// # Engine-specific caveats
 ///
@@ -141,13 +155,6 @@ pub trait VersionedStore: Send + Sync {
     /// Point lookup of `key` in a version.
     fn get(&self, version: VersionRef, key: u64) -> Result<Option<Record>>;
 
-    /// Streams the live records of one version (benchmark Query 1).
-    fn scan(&self, version: VersionRef) -> Result<RecordIter<'_>>;
-
-    /// Streams the union of several branches' live records, each annotated
-    /// with the branches containing it (benchmark Query 4).
-    fn multi_scan(&self, branches: &[BranchId]) -> Result<AnnotatedIter<'_>>;
-
     /// Streams one version's live rows through the planned scan pipeline,
     /// as a lending cursor over **slot bytes on the pinned heap page**:
     /// rows failing `plan.predicate` are filtered out at page level
@@ -158,9 +165,10 @@ pub trait VersionedStore: Send + Sync {
     ///
     /// This is the engines' one planned-scan primitive; everything that
     /// wants records ([`execute`](crate::query::execute), the chunked
-    /// cursors) decodes the slot under `plan.projection` with
-    /// [`Record::read_projected`], and the server copies the slot's
-    /// projected image to the socket without building a `Record` at all.
+    /// cursors, [`scan`](VersionedStore::scan)) decodes the slot under
+    /// `plan.projection` with [`Record::read_projected`], and the server
+    /// copies the slot's projected image to the socket without building a
+    /// `Record` at all.
     fn scan_pipeline(
         &self,
         version: VersionRef,
@@ -179,23 +187,44 @@ pub trait VersionedStore: Send + Sync {
         from: u64,
     ) -> Result<Box<dyn AnnotatedSlotCursor + '_>>;
 
-    /// Materialized multi-branch scan that is free to use intra-query
-    /// parallelism. `threads` is a hint: values ≤ 1 request a sequential
-    /// scan; larger values permit the engine to fan segment scans out over
-    /// that many workers. The result is identical (same records, same
-    /// order, same annotations) to draining [`VersionedStore::multi_scan`].
-    ///
-    /// The default implementation just materializes the sequential scan;
-    /// the hybrid engine overrides it with a work-stealing per-segment
-    /// parallel scan (the parallelism §3.4's branch-segment bitmap "allows
-    /// for").
-    fn par_multi_scan(
-        &self,
-        branches: &[BranchId],
-        threads: usize,
-    ) -> Result<Vec<(Record, Vec<BranchId>)>> {
-        let _ = threads;
-        self.multi_scan(branches)?.collect()
+    /// Streams the live records of one version (benchmark Query 1): the
+    /// unfiltered [`scan_pipeline`](VersionedStore::scan_pipeline), each
+    /// slot decoded whole.
+    fn scan(&self, version: VersionRef) -> Result<RecordIter<'_>> {
+        let schema = self.schema();
+        let mut cursor = self.scan_pipeline(version, &ScanPlan::default(), 0)?;
+        Ok(Box::new(std::iter::from_fn(move || {
+            let slot = cursor.next_slot().transpose()?;
+            Some(slot.and_then(|(_, slot)| Record::read_projected(schema, slot, &Projection::All)))
+        })))
+    }
+
+    /// Streams the union of several branches' live records, each annotated
+    /// with the branches containing it (benchmark Query 4): the unfiltered
+    /// [`multi_scan_pipeline`](VersionedStore::multi_scan_pipeline), each
+    /// slot decoded whole.
+    fn multi_scan(&self, branches: &[BranchId]) -> Result<AnnotatedIter<'_>> {
+        let schema = self.schema();
+        let mut cursor = self.multi_scan_pipeline(branches, &ScanPlan::default(), 0)?;
+        Ok(Box::new(std::iter::from_fn(move || {
+            let row = cursor.next_slot().transpose()?;
+            Some(row.and_then(|(_, slot, live)| {
+                let rec = Record::read_projected(schema, slot, &Projection::All)?;
+                Ok((rec, live.to_vec()))
+            }))
+        })))
+    }
+
+    /// Number of live records in a version: the slots of the unfiltered
+    /// [`scan_pipeline`](VersionedStore::scan_pipeline), counted, never
+    /// decoded.
+    fn live_count(&self, version: VersionRef) -> Result<u64> {
+        let mut cursor = self.scan_pipeline(version, &ScanPlan::default(), 0)?;
+        let mut n = 0u64;
+        while cursor.next_slot()?.is_some() {
+            n += 1;
+        }
+        Ok(n)
     }
 
     /// Materializes the symmetric difference of two versions (benchmark
@@ -207,16 +236,6 @@ pub trait VersionedStore: Send + Sync {
     /// and reported in the result.
     fn merge(&mut self, into: BranchId, from: BranchId, policy: MergePolicy)
         -> Result<MergeResult>;
-
-    /// Number of live records in a version.
-    fn live_count(&self, version: VersionRef) -> Result<u64> {
-        let mut n = 0u64;
-        for r in self.scan(version)? {
-            r?;
-            n += 1;
-        }
-        Ok(n)
-    }
 
     /// Storage accounting for the experiment harness.
     fn stats(&self) -> StoreStats;

@@ -34,8 +34,7 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Token(pub usize);
 
-/// Which readiness a registration asks for. Combine with [`Interest::add`]
-/// or `|`.
+/// Which readiness a registration asks for. Combine with `|`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Interest(u8);
 

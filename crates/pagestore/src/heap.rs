@@ -391,25 +391,12 @@ impl HeapFile {
             cursor: self.pinned_cursor(),
             next: start.0,
             end,
-            forward: true,
         }
     }
 
     /// Streams all records in slot order.
     pub fn scan_all(&self) -> HeapScan<'_> {
         self.scan(RecordIdx(0), RecordIdx(u64::MAX))
-    }
-
-    /// Streams records `[start, end)` in *reverse* slot order (newest first)
-    /// — the order version-first branch scans consume segments in (§3.3).
-    pub fn scan_rev(&self, start: RecordIdx, end: RecordIdx) -> HeapScan<'_> {
-        let end = end.0.min(self.len());
-        HeapScan {
-            cursor: self.pinned_cursor(),
-            next: end,
-            end: start.0,
-            forward: false,
-        }
     }
 
     fn load_scan_page(&self, page_no: u64) -> Result<Arc<Vec<u8>>> {
@@ -528,31 +515,21 @@ impl PinnedCursor<'_> {
 /// Yields `(slot index, record)` pairs; I/O errors surface as `Err` items.
 pub struct HeapScan<'a> {
     cursor: PinnedCursor<'a>,
-    /// Forward: next slot to yield. Reverse: one past the next slot.
+    /// Next slot to yield.
     next: u64,
-    /// Forward: exclusive end. Reverse: inclusive start bound.
+    /// Exclusive end.
     end: u64,
-    forward: bool,
 }
 
 impl Iterator for HeapScan<'_> {
     type Item = Result<(RecordIdx, Record)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let idx = if self.forward {
-            if self.next >= self.end {
-                return None;
-            }
-            let i = self.next;
-            self.next += 1;
-            i
-        } else {
-            if self.next <= self.end {
-                return None;
-            }
-            self.next -= 1;
-            self.next
-        };
+        if self.next >= self.end {
+            return None;
+        }
+        let idx = self.next;
+        self.next += 1;
         Some(self.cursor.read(idx).map(|r| (RecordIdx(idx), r)))
     }
 }
@@ -613,20 +590,6 @@ mod tests {
     }
 
     #[test]
-    fn reverse_scan_yields_newest_first() {
-        let (dir, pool, schema) = setup(3);
-        let heap = HeapFile::create(pool, dir.path().join("h"), schema).unwrap();
-        for k in 0..25 {
-            heap.append(&rec(k, 3)).unwrap();
-        }
-        let keys: Vec<u64> = heap
-            .scan_rev(RecordIdx(0), RecordIdx(u64::MAX))
-            .map(|r| r.unwrap().1.key())
-            .collect();
-        assert_eq!(keys, (0..25).rev().collect::<Vec<_>>());
-    }
-
-    #[test]
     fn range_scans_respect_bounds() {
         let (dir, pool, schema) = setup(3);
         let heap = HeapFile::create(pool, dir.path().join("h"), schema).unwrap();
@@ -638,11 +601,6 @@ mod tests {
             .map(|r| r.unwrap().1.key())
             .collect();
         assert_eq!(keys, vec![5, 6, 7, 8, 9]);
-        let keys: Vec<u64> = heap
-            .scan_rev(RecordIdx(5), RecordIdx(10))
-            .map(|r| r.unwrap().1.key())
-            .collect();
-        assert_eq!(keys, vec![9, 8, 7, 6, 5]);
     }
 
     #[test]

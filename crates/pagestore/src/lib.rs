@@ -28,4 +28,4 @@ pub use buffer_pool::{BufferPool, FileId, PoolStats};
 pub use config::StoreConfig;
 pub use heap::{HeapFile, HeapScan, PinnedCursor};
 pub use lock::{LockManager, LockMode, TxnLocks};
-pub use wal::{crc32, sync_parent_dir, RecoveredTxn, Wal, WalRecovery};
+pub use wal::{crc32, RecoveredTxn, Wal, WalRecovery};

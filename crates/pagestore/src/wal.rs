@@ -31,7 +31,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use decibel_common::env::{DiskEnv, DiskFile, OpenMode, StdEnv};
+use decibel_common::env::{DiskEnv, DiskFile, OpenMode};
 use decibel_common::error::{DbError, IoResultExt, Result};
 use decibel_common::fsio::sync_parent_dir_in;
 use decibel_common::varint;
@@ -45,8 +45,6 @@ const KIND_COMMIT: u8 = 2;
 /// CRC-32 (IEEE 802.3) — used over every WAL entry's kind, txn id, and
 /// payload, and reused by the core crate's checkpoint file format.
 pub use decibel_common::crc::crc32;
-
-pub use decibel_common::fsio::sync_parent_dir;
 
 /// Buffer-side state, guarded by one mutex. The file handle lives behind a
 /// *separate* mutex so the group leader flushes without blocking sealers:
@@ -117,7 +115,7 @@ pub struct RecoveredTxn {
     pub entries: Vec<Vec<u8>>,
 }
 
-/// The outcome of scanning a log with [`Wal::recover`].
+/// The outcome of scanning a log with [`Wal::recover_in`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalRecovery {
     /// Committed transactions, in commit order.
@@ -132,20 +130,15 @@ pub struct WalRecovery {
     /// True when the log is exactly its committed history: every parsed
     /// entry belongs to a committed transaction and no torn tail was
     /// discarded. A clean log can be appended to as-is; an unclean one
-    /// must be compacted with [`Wal::rewrite`] before reuse (new appends
+    /// must be compacted with [`Wal::rewrite_in`] before reuse (new appends
     /// would land after torn bytes, and a commit marker could adopt
     /// orphaned entries that share its transaction id).
     pub clean: bool,
 }
 
 impl Wal {
-    /// Opens (creating if necessary) the log at `path`. `fsync` controls
-    /// whether group flushes force data to stable storage.
-    pub fn open(path: impl AsRef<Path>, fsync: bool) -> Result<Wal> {
-        Self::open_in(&StdEnv, path, fsync)
-    }
-
-    /// [`Wal::open`] through an explicit [`DiskEnv`].
+    /// Opens (creating if necessary) the log at `path` through `env`.
+    /// `fsync` controls whether group flushes force data to stable storage.
     pub fn open_in(env: &dyn DiskEnv, path: impl AsRef<Path>, fsync: bool) -> Result<Wal> {
         Self::open_in_metered(env, path, fsync, &Registry::new())
     }
@@ -341,16 +334,11 @@ impl Wal {
         buf.pending.truncate(keep);
     }
 
-    /// Replays the log at `path`, returning committed transactions in commit
-    /// order plus the highest transaction id seen in any entry (committed or
-    /// not — see [`WalRecovery::max_txn`]). Torn trailing entries (from a
-    /// crash mid-write) are ignored; corrupt CRCs before the tail are an
-    /// error.
-    pub fn recover(path: impl AsRef<Path>) -> Result<WalRecovery> {
-        Self::recover_in(&StdEnv, path)
-    }
-
-    /// [`Wal::recover`] through an explicit [`DiskEnv`].
+    /// Replays the log at `path` through `env`, returning committed
+    /// transactions in commit order plus the highest transaction id seen in
+    /// any entry (committed or not — see [`WalRecovery::max_txn`]). Torn
+    /// trailing entries (from a crash mid-write) are ignored; corrupt CRCs
+    /// before the tail are an error.
     pub fn recover_in(env: &dyn DiskEnv, path: impl AsRef<Path>) -> Result<WalRecovery> {
         let empty = WalRecovery {
             txns: Vec::new(),
@@ -430,13 +418,9 @@ impl Wal {
     /// Without it, later appends extend a log whose dead entries would be
     /// regrouped under any commit marker that reuses their transaction id.
     ///
-    /// The new log is written to a sibling temp file and renamed into
-    /// place, so a crash mid-rewrite leaves the original log untouched.
-    pub fn rewrite(path: impl AsRef<Path>, txns: &[RecoveredTxn], fsync: bool) -> Result<()> {
-        Self::rewrite_in(&StdEnv, path, txns, fsync)
-    }
-
-    /// [`Wal::rewrite`] through an explicit [`DiskEnv`].
+    /// The new log is written through `env` to a sibling temp file and
+    /// renamed into place, so a crash mid-rewrite leaves the original log
+    /// untouched.
     pub fn rewrite_in(
         env: &dyn DiskEnv,
         path: impl AsRef<Path>,
@@ -511,7 +495,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decibel_common::env::FaultEnv;
+    use decibel_common::env::{FaultEnv, StdEnv};
     use std::fs::OpenOptions;
     use std::io::Write;
 
@@ -525,14 +509,14 @@ mod tests {
     fn committed_txns_recover_in_order() {
         let (_d, p) = wal_path();
         {
-            let wal = Wal::open(&p, false).unwrap();
+            let wal = Wal::open_in(&StdEnv, &p, false).unwrap();
             wal.append(1, b"a").unwrap();
             wal.append(1, b"b").unwrap();
             wal.commit(1).unwrap();
             wal.append(2, b"c").unwrap();
             wal.commit(2).unwrap();
         }
-        let txns = Wal::recover(&p).unwrap().txns;
+        let txns = Wal::recover_in(&StdEnv, &p).unwrap().txns;
         assert_eq!(txns.len(), 2);
         assert_eq!(txns[0].txn, 1);
         assert_eq!(txns[0].entries, vec![b"a".to_vec(), b"b".to_vec()]);
@@ -543,13 +527,13 @@ mod tests {
     fn uncommitted_buffered_entries_are_invisible() {
         let (_d, p) = wal_path();
         {
-            let wal = Wal::open(&p, false).unwrap();
+            let wal = Wal::open_in(&StdEnv, &p, false).unwrap();
             wal.append(1, b"a").unwrap();
             wal.commit(1).unwrap();
             wal.append(2, b"lost").unwrap();
             // no commit(2); buffered bytes never hit disk
         }
-        let txns = Wal::recover(&p).unwrap().txns;
+        let txns = Wal::recover_in(&StdEnv, &p).unwrap().txns;
         assert_eq!(txns.len(), 1);
         assert_eq!(txns[0].txn, 1);
     }
@@ -557,12 +541,12 @@ mod tests {
     #[test]
     fn rollback_discards_pending() {
         let (_d, p) = wal_path();
-        let wal = Wal::open(&p, false).unwrap();
+        let wal = Wal::open_in(&StdEnv, &p, false).unwrap();
         wal.append(1, b"x").unwrap();
         wal.rollback();
         wal.append(2, b"y").unwrap();
         wal.commit(2).unwrap();
-        let txns = Wal::recover(&p).unwrap().txns;
+        let txns = Wal::recover_in(&StdEnv, &p).unwrap().txns;
         assert_eq!(txns.len(), 1);
         assert_eq!(txns[0].txn, 2);
     }
@@ -571,7 +555,7 @@ mod tests {
     fn torn_tail_is_ignored() {
         let (_d, p) = wal_path();
         {
-            let wal = Wal::open(&p, false).unwrap();
+            let wal = Wal::open_in(&StdEnv, &p, false).unwrap();
             wal.append(1, b"good").unwrap();
             wal.commit(1).unwrap();
         }
@@ -580,7 +564,7 @@ mod tests {
             let mut f = OpenOptions::new().append(true).open(&p).unwrap();
             f.write_all(&[200, 1, 2]).unwrap(); // length varint + garbage, truncated
         }
-        let rec = Wal::recover(&p).unwrap();
+        let rec = Wal::recover_in(&StdEnv, &p).unwrap();
         assert_eq!(rec.txns.len(), 1);
         assert!(!rec.clean);
     }
@@ -589,7 +573,7 @@ mod tests {
     fn corrupt_crc_is_detected() {
         let (_d, p) = wal_path();
         {
-            let wal = Wal::open(&p, false).unwrap();
+            let wal = Wal::open_in(&StdEnv, &p, false).unwrap();
             wal.append(1, b"data").unwrap();
             wal.commit(1).unwrap();
             wal.append(2, b"tail").unwrap();
@@ -600,26 +584,26 @@ mod tests {
         let mut bytes = std::fs::read(&p).unwrap();
         bytes[6] ^= 0xFF;
         std::fs::write(&p, &bytes).unwrap();
-        assert!(Wal::recover(&p).is_err());
+        assert!(Wal::recover_in(&StdEnv, &p).is_err());
     }
 
     #[test]
     fn recover_missing_file_is_empty() {
         let (_d, p) = wal_path();
-        assert!(Wal::recover(&p).unwrap().txns.is_empty());
+        assert!(Wal::recover_in(&StdEnv, &p).unwrap().txns.is_empty());
     }
 
     #[test]
     fn truncate_resets_log() {
         let (_d, p) = wal_path();
-        let wal = Wal::open(&p, false).unwrap();
+        let wal = Wal::open_in(&StdEnv, &p, false).unwrap();
         wal.append(1, b"a").unwrap();
         wal.commit(1).unwrap();
         wal.truncate().unwrap();
-        assert!(Wal::recover(&p).unwrap().txns.is_empty());
+        assert!(Wal::recover_in(&StdEnv, &p).unwrap().txns.is_empty());
         wal.append(2, b"b").unwrap();
         wal.commit(2).unwrap();
-        let txns = Wal::recover(&p).unwrap().txns;
+        let txns = Wal::recover_in(&StdEnv, &p).unwrap().txns;
         assert_eq!(txns.len(), 1);
         assert_eq!(txns[0].txn, 2);
     }
@@ -628,7 +612,7 @@ mod tests {
     fn max_txn_covers_orphaned_uncommitted_entries() {
         let (_d, p) = wal_path();
         {
-            let wal = Wal::open(&p, false).unwrap();
+            let wal = Wal::open_in(&StdEnv, &p, false).unwrap();
             wal.append(1, b"a").unwrap();
             wal.commit(1).unwrap();
             // Orphan: txn 7's data entry reaches disk because the next
@@ -637,7 +621,7 @@ mod tests {
             wal.append(7, b"orphan").unwrap();
             wal.commit(1).unwrap();
         }
-        let rec = Wal::recover(&p).unwrap();
+        let rec = Wal::recover_in(&StdEnv, &p).unwrap();
         assert!(rec.txns.iter().all(|t| t.txn == 1));
         assert_eq!(rec.max_txn, 7);
         assert!(!rec.clean);
@@ -647,26 +631,26 @@ mod tests {
     fn rewrite_compacts_away_orphaned_entries() {
         let (_d, p) = wal_path();
         {
-            let wal = Wal::open(&p, false).unwrap();
+            let wal = Wal::open_in(&StdEnv, &p, false).unwrap();
             wal.append(1, b"a").unwrap();
             wal.commit(1).unwrap();
             wal.append(7, b"orphan").unwrap();
             wal.commit(1).unwrap(); // flushes the orphan, seals only txn 1
         }
-        let rec = Wal::recover(&p).unwrap();
-        Wal::rewrite(&p, &rec.txns, false).unwrap();
-        let clean = Wal::recover(&p).unwrap();
+        let rec = Wal::recover_in(&StdEnv, &p).unwrap();
+        Wal::rewrite_in(&StdEnv, &p, &rec.txns, false).unwrap();
+        let clean = Wal::recover_in(&StdEnv, &p).unwrap();
         assert_eq!(clean.txns, rec.txns);
         assert_eq!(clean.max_txn, 1);
         assert!(clean.clean);
         // A new transaction reusing the orphan's id is safe now: its commit
         // marker can only seal its own entries.
         {
-            let wal = Wal::open(&p, false).unwrap();
+            let wal = Wal::open_in(&StdEnv, &p, false).unwrap();
             wal.append(7, b"fresh").unwrap();
             wal.commit(7).unwrap();
         }
-        let after = Wal::recover(&p).unwrap();
+        let after = Wal::recover_in(&StdEnv, &p).unwrap();
         let t7 = after.txns.iter().find(|t| t.txn == 7).unwrap();
         assert_eq!(t7.entries, vec![b"fresh".to_vec()]);
     }
@@ -675,28 +659,28 @@ mod tests {
     fn rewrite_preserves_empty_commits() {
         let (_d, p) = wal_path();
         {
-            let wal = Wal::open(&p, false).unwrap();
+            let wal = Wal::open_in(&StdEnv, &p, false).unwrap();
             wal.commit(1).unwrap(); // snapshot-point commit, no entries
             wal.append(2, b"x").unwrap();
             wal.commit(2).unwrap();
         }
-        let rec = Wal::recover(&p).unwrap();
-        Wal::rewrite(&p, &rec.txns, false).unwrap();
-        assert_eq!(Wal::recover(&p).unwrap(), rec);
+        let rec = Wal::recover_in(&StdEnv, &p).unwrap();
+        Wal::rewrite_in(&StdEnv, &p, &rec.txns, false).unwrap();
+        assert_eq!(Wal::recover_in(&StdEnv, &p).unwrap(), rec);
     }
 
     #[test]
     fn interleaved_txns_recover_their_own_entries() {
         let (_d, p) = wal_path();
         {
-            let wal = Wal::open(&p, false).unwrap();
+            let wal = Wal::open_in(&StdEnv, &p, false).unwrap();
             wal.append(1, b"a1").unwrap();
             wal.append(2, b"b1").unwrap();
             wal.append(1, b"a2").unwrap();
             wal.commit(1).unwrap();
             wal.commit(2).unwrap();
         }
-        let txns = Wal::recover(&p).unwrap().txns;
+        let txns = Wal::recover_in(&StdEnv, &p).unwrap().txns;
         assert_eq!(txns[0].txn, 1);
         assert_eq!(txns[0].entries, vec![b"a1".to_vec(), b"a2".to_vec()]);
         assert_eq!(txns[1].txn, 2);
@@ -706,7 +690,7 @@ mod tests {
     #[test]
     fn one_flush_covers_a_whole_group() {
         let (_d, p) = wal_path();
-        let wal = std::sync::Arc::new(Wal::open(&p, false).unwrap());
+        let wal = std::sync::Arc::new(Wal::open_in(&StdEnv, &p, false).unwrap());
         // Four transactions sealed before anyone syncs: whichever syncer
         // arrives first drains the entire sealed prefix, so exactly one
         // flush makes all four durable.
@@ -726,7 +710,7 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(wal.flush_count(), 1, "one group flush for four txns");
-        let txns = Wal::recover(&p).unwrap().txns;
+        let txns = Wal::recover_in(&StdEnv, &p).unwrap().txns;
         assert_eq!(txns.iter().map(|t| t.txn).collect::<Vec<_>>(), [1, 2, 3, 4]);
     }
 
@@ -734,7 +718,7 @@ mod tests {
     fn sealed_but_unsynced_txns_are_lost_on_drop() {
         let (_d, p) = wal_path();
         {
-            let wal = Wal::open(&p, false).unwrap();
+            let wal = Wal::open_in(&StdEnv, &p, false).unwrap();
             wal.append(1, b"durable").unwrap();
             let t1 = wal.seal(1).unwrap();
             wal.sync(t1).unwrap();
@@ -743,33 +727,33 @@ mod tests {
             // no sync(t2): the seal never left the buffer — a crash here
             // loses txn 2 entirely (atomicity preserved, durability not).
         }
-        let txns = Wal::recover(&p).unwrap().txns;
+        let txns = Wal::recover_in(&StdEnv, &p).unwrap().txns;
         assert_eq!(txns.iter().map(|t| t.txn).collect::<Vec<_>>(), [1]);
     }
 
     #[test]
     fn truncate_marks_pending_seals_durable_by_coverage() {
         let (_d, p) = wal_path();
-        let wal = Wal::open(&p, false).unwrap();
+        let wal = Wal::open_in(&StdEnv, &p, false).unwrap();
         wal.append(1, b"covered").unwrap();
         let t = wal.seal(1).unwrap();
         // Checkpoint path: truncation covers the sealed-but-unflushed txn.
         wal.truncate().unwrap();
         wal.sync(t).unwrap(); // returns immediately, durable by coverage
-        assert!(Wal::recover(&p).unwrap().txns.is_empty());
+        assert!(Wal::recover_in(&StdEnv, &p).unwrap().txns.is_empty());
     }
 
     #[test]
     fn truncate_to_discards_unsealed_tail_only() {
         let (_d, p) = wal_path();
-        let wal = Wal::open(&p, false).unwrap();
+        let wal = Wal::open_in(&StdEnv, &p, false).unwrap();
         wal.append(1, b"keep").unwrap();
         let t1 = wal.seal(1).unwrap();
         let mark = wal.mark();
         wal.append(2, b"discard").unwrap();
         wal.truncate_to(mark);
         wal.sync(t1).unwrap();
-        let rec = Wal::recover(&p).unwrap();
+        let rec = Wal::recover_in(&StdEnv, &p).unwrap();
         assert_eq!(rec.txns.len(), 1);
         assert_eq!(rec.txns[0].entries, vec![b"keep".to_vec()]);
         assert_eq!(rec.max_txn, 1, "discarded entry never reached disk");
@@ -810,13 +794,13 @@ mod tests {
     #[test]
     fn rollback_preserves_sealed_prefix() {
         let (_d, p) = wal_path();
-        let wal = Wal::open(&p, false).unwrap();
+        let wal = Wal::open_in(&StdEnv, &p, false).unwrap();
         wal.append(1, b"sealed").unwrap();
         let t1 = wal.seal(1).unwrap();
         wal.append(2, b"abandoned").unwrap();
         wal.rollback(); // only txn 2's unsealed bytes go
         wal.sync(t1).unwrap();
-        let rec = Wal::recover(&p).unwrap();
+        let rec = Wal::recover_in(&StdEnv, &p).unwrap();
         assert_eq!(rec.txns.len(), 1);
         assert_eq!(rec.txns[0].txn, 1);
         assert!(rec.clean);

@@ -15,27 +15,27 @@
 //!   pauses read interest so an abusive sender backpressures through TCP
 //!   instead of growing server memory), and one write buffer.
 //! * **Streaming scans: page bytes to socket.** Scan-shaped requests
-//!   (`ScanSession`, `Collect`, sequential `MultiScan`) run on the loop as
-//!   resumable [`ScanCursor`]s ([`decibel_core::cursor`]). The cursor
-//!   drives the engine's slot scan and hands every matched slot to the
-//!   loop's byte sink ([`SocketSink`]), which copies the slot's projected
+//!   (`ScanSession`, `Collect`, `MultiScan`) run on the loop as resumable
+//!   [`ScanCursor`]s ([`decibel_core::cursor`]). The cursor drives the
+//!   engine's slot scan and hands every matched slot to the loop's byte
+//!   sink (`SocketSink`), which copies the slot's projected
 //!   image from the pinned heap page straight into the connection's write
 //!   buffer, framing batches (~[`proto::SCAN_BATCH_BYTES`] each) in place
 //!   with [`BatchStream`]. No `Record` is built server-side, nothing is
 //!   allocated per row, and the bytes on the wire are exactly those
 //!   `Response::Batch(..).encode()` produces (`tests/scan_stream_bytes.rs`).
 //!   *Held across sink calls:* the store/shard read locks and one pinned
-//!   page — for at most [`CHUNKS_PER_LOCK`] batches, each ending in one
+//!   page — for at most `CHUNKS_PER_LOCK` batches, each ending in one
 //!   nonblocking socket write. *Not held:* anything, once the unsent
-//!   write-buffer backlog reaches the [`STREAM_AHEAD`] cap (~2 MiB) and
+//!   write-buffer backlog reaches the `STREAM_AHEAD` cap (~2 MiB) and
 //!   production parks. A slow client therefore pins a small constant of
 //!   server memory and **zero** lock time while stalled — the
 //!   backpressure contract the thread-per-client server could not offer
 //!   (it materialized whole results to bound lock hold time, at O(result)
 //!   memory).
-//! * **Worker pool.** Session calls that may block — commit (group fsync),
-//!   merge, flush, 2PL lock acquisition on checkout/begin/writes, and the
-//!   materializing parallel multi-scan — are dispatched to a small pool.
+//! * **Worker pool.** Calls that may block — commit (group fsync), merge,
+//!   flush, 2PL lock acquisition on checkout/begin/writes — are dispatched
+//!   to a small pool.
 //!   The job moves the connection's `Session` to the worker and the
 //!   completion moves it back (sessions are `Send`), so the loop never
 //!   stalls behind a lock or an fsync.
@@ -461,20 +461,8 @@ fn respond_blocking_into(
     req: Request,
 ) {
     let start = out.len();
-    let result = execute_blocking(db, session, req);
-    let enc = match result {
-        Ok(Replies::One(reply)) => queue_response(out, schema, &Response::Ok(reply)),
-        Ok(Replies::Annotated(projection, rows)) => (|| {
-            let total = rows.len() as u64;
-            for chunk in rows.chunks(proto::batch_rows(projection.image_size(schema))) {
-                queue_response(
-                    out,
-                    schema,
-                    &Response::AnnotatedBatch(projection.clone(), chunk.to_vec()),
-                )?;
-            }
-            queue_response(out, schema, &Response::Ok(Reply::Rows(total)))
-        })(),
+    let enc = match execute_blocking(db, session, req) {
+        Ok(reply) => queue_response(out, schema, &Response::Ok(reply)),
         Err(err) => queue_response(out, schema, &Response::Err(err)),
     };
     if let Err(err) = enc {
@@ -484,22 +472,6 @@ fn respond_blocking_into(
         out.truncate(start);
         let _ = queue_response(out, schema, &Response::Err(err));
     }
-}
-
-/// What a blocking request produces.
-enum Replies {
-    One(Reply),
-    /// The materializing parallel multi-scan: worker-side because the
-    /// engine's work-stealing path wants its own threads and returns the
-    /// full result anyway. Carries the projection its rows were narrowed
-    /// to, so the batch frames ship only those columns.
-    Annotated(
-        Projection,
-        Vec<(
-            decibel_common::record::Record,
-            Vec<decibel_common::ids::BranchId>,
-        )>,
-    ),
 }
 
 fn need_session() -> DbError {
@@ -514,10 +486,9 @@ fn execute_blocking(
     db: &Arc<Database>,
     session: Option<&mut Session>,
     req: Request,
-) -> Result<Replies> {
-    use Replies::One;
+) -> Result<Reply> {
     if let Some(session) = session {
-        return Ok(One(match req {
+        return Ok(match req {
             Request::CheckoutBranch { name } => Reply::Branch(session.checkout_branch(&name)?),
             Request::CheckoutCommit { commit } => {
                 session.checkout_commit(commit)?;
@@ -544,40 +515,23 @@ fn execute_blocking(
                 Reply::Unit
             }
             _ => return Err(need_session()),
-        }));
+        });
     }
     Ok(match req {
-        Request::LookupBranch { name } => One(Reply::Branch(db.branch_id(&name)?)),
-        Request::Count { version, predicate } => One(Reply::Scalar(
-            db.read(version).filter(predicate).count()? as f64,
-        )),
+        Request::LookupBranch { name } => Reply::Branch(db.branch_id(&name)?),
+        Request::Count { version, predicate } => {
+            Reply::Scalar(db.read(version).filter(predicate).count()? as f64)
+        }
         Request::Aggregate {
             version,
             column,
             agg,
             predicate,
-        } => One(Reply::Scalar(
-            db.read(version).filter(predicate).aggregate(column, agg)?,
-        )),
-        Request::MultiScan {
-            branches,
-            predicate,
-            parallel,
-            projection,
-        } => {
-            let mut builder = db
-                .read_branches(&branches)
-                .filter(predicate)
-                .parallel(parallel);
-            if let Some(cols) = projection.columns() {
-                builder = builder.select(cols);
-            }
-            Replies::Annotated(projection, builder.annotated()?)
-        }
-        Request::Merge { into, from, policy } => One(Reply::Merge(db.merge(into, from, policy)?)),
+        } => Reply::Scalar(db.read(version).filter(predicate).aggregate(column, agg)?),
+        Request::Merge { into, from, policy } => Reply::Merge(db.merge(into, from, policy)?),
         Request::Flush => {
             db.flush()?;
-            One(Reply::Unit)
+            Reply::Unit
         }
         _ => return Err(need_session()),
     })
@@ -1293,12 +1247,14 @@ impl EventLoop {
                     projection,
                 }));
             }
+            // `parallel` is accepted on the wire and ignored: every
+            // multi-branch scan streams.
             Request::MultiScan {
                 branches,
                 predicate,
-                parallel,
                 projection,
-            } if parallel <= 1 => {
+                ..
+            } => {
                 let cursor =
                     self.db
                         .chunked_multi_scan_projected(branches, predicate, projection.clone());
@@ -1309,8 +1265,8 @@ impl EventLoop {
                 }));
             }
             // Everything that can block — 2PL acquisition, commit fsync,
-            // merge, flush, the materializing parallel scan — goes to the
-            // worker pool; session ops take the session along.
+            // merge, flush — goes to the worker pool; session ops take the
+            // session along.
             req => {
                 let session = if takes_session(&req) {
                     Some(conn.session.take().expect("session present while idle"))

@@ -314,7 +314,6 @@ impl Client {
             client: self,
             branches: branches.to_vec(),
             predicate: Predicate::True,
-            parallel: 1,
             projection: Projection::All,
         }
     }
@@ -400,7 +399,6 @@ pub struct RemoteMultiReadBuilder<'a> {
     client: &'a mut Client,
     branches: Vec<BranchId>,
     predicate: Predicate,
-    parallel: usize,
     projection: Projection,
 }
 
@@ -411,9 +409,10 @@ impl RemoteMultiReadBuilder<'_> {
         self
     }
 
-    /// Requests server-side intra-query parallelism (≤ 1 = sequential).
-    pub fn parallel(mut self, threads: usize) -> Self {
-        self.parallel = threads;
+    /// Accepted and ignored, like
+    /// [`MultiReadBuilder::parallel`](decibel_core::MultiReadBuilder::parallel):
+    /// the server always streams the scan.
+    pub fn parallel(self, _threads: usize) -> Self {
         self
     }
 
@@ -430,7 +429,7 @@ impl RemoteMultiReadBuilder<'_> {
         self.client.call_annotated(&Request::MultiScan {
             branches: self.branches,
             predicate: self.predicate,
-            parallel: self.parallel,
+            parallel: 1,
             projection: self.projection,
         })
     }

@@ -204,14 +204,15 @@ pub enum Request {
         /// Row filter.
         predicate: Predicate,
     },
-    /// `db.read_branches(&branches).parallel(n).filter(p).annotated()`,
-    /// streamed in annotated batches.
+    /// `db.read_branches(&branches).filter(p).annotated()`, streamed in
+    /// annotated batches.
     MultiScan {
         /// Branches to scan.
         branches: Vec<BranchId>,
         /// Row filter.
         predicate: Predicate,
-        /// Intra-query parallelism hint (≤ 1 = sequential).
+        /// Former intra-query parallelism hint: still encoded so the
+        /// format is unchanged, ignored by the server.
         parallel: usize,
         /// Columns to ship (validated server-side).
         projection: Projection,

@@ -96,11 +96,8 @@ fn main() -> decibel::Result<()> {
         result.commit, result.records_changed
     );
 
-    // Multi-branch annotated scan, fanned out server-side.
-    let annotated = alice
-        .read_branches(&[master, bob_branch])
-        .parallel(4)
-        .annotated()?;
+    // Multi-branch annotated scan, streamed from the server.
+    let annotated = alice.read_branches(&[master, bob_branch]).annotated()?;
     println!(
         "annotated scan over both branches: {} rows",
         annotated.len()

@@ -288,7 +288,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use std::ops::Range;
 
-    /// Accepted element-count shapes for [`vec`].
+    /// Accepted element-count shapes for [`vec()`].
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         start: usize,

@@ -76,7 +76,6 @@
 //! | [`wire`] | the TCP wire protocol + blocking [`Client`] |
 //! | [`netio`] | zero-dep readiness layer: epoll poll/registry, wakers |
 //! | [`server`] | the event-loop server behind `decibel-server` |
-//! | [`gitlike`] | the git baseline (SHA-1, objects, packfiles, repack) |
 //!
 //! ## Serving over TCP
 //!
@@ -106,7 +105,6 @@ pub use decibel_pagestore as pagestore;
 pub use decibel_server as server;
 pub use decibel_vgraph as vgraph;
 pub use decibel_wire as wire;
-pub use gitlike;
 
 pub use decibel_common::{DbError, ErrorCode, Projection, Result};
 pub use decibel_core::{Database, EngineKind, MergePolicy, Session, VersionRef, VersionedStore};

@@ -359,8 +359,8 @@ fn auth_gate_over_the_facade() {
 }
 
 /// Remote streamed results must match the in-process query surface —
-/// including the sequential multi-branch scan, which now streams through
-/// the chunked annotated cursor, against its materializing parallel twin.
+/// including the multi-branch scan, which streams through the chunked
+/// annotated cursor whatever parallel hint the client sends.
 #[test]
 fn chunked_streams_match_in_process_results() {
     const ROWS: u64 = 30_000;
@@ -400,8 +400,8 @@ fn chunked_streams_match_in_process_results() {
         rows
     };
     let local = sort(db.read_branches(&branches).annotated().unwrap());
-    // parallel(1) streams through the chunked cursor; parallel(2) takes
-    // the materializing worker path — both must agree with in-process.
+    // The parallel hint is accepted and ignored: both calls stream through
+    // the chunked annotated cursor and must agree with in-process.
     for threads in [1usize, 2] {
         let remote = sort(
             client

@@ -219,7 +219,7 @@ fn remote_surface_matches_in_process_reads() {
     local_view.sort_by_key(Record::key);
     assert_eq!(session_view, local_view);
 
-    // Multi-branch annotated scan parity (including the parallel path).
+    // Multi-branch annotated scan parity (the parallel hint is ignored).
     let branches = [BranchId::MASTER, dev];
     let remote = client
         .read_branches(&branches)

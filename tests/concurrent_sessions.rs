@@ -28,6 +28,12 @@ fn create(kind: EngineKind) -> (tempfile::TempDir, Arc<Database>) {
     (dir, db)
 }
 
+/// High-water mark of commits concurrently inside their shard critical
+/// sections: the max of the `commit/in_flight` gauge.
+fn max_concurrent_commits(db: &Database) -> u64 {
+    db.metrics().snapshot().gauge("commit", "in_flight").1
+}
+
 fn rec(k: u64) -> Record {
     Record::new(k, vec![k, k % 7])
 }
@@ -307,9 +313,9 @@ fn open_after_checkpoint_replays_only_the_suffix() {
 /// The sharded commit path, positively: commits to *disjoint* branches
 /// are inside their commit critical sections simultaneously. Four writer
 /// threads rendezvous on a barrier each round and then commit to four
-/// different branches; the database's commit gauge
-/// (`journal_stats().max_concurrent_commits`) records the high-water mark
-/// of commits concurrently past the shard lock. Behind the old
+/// different branches; the database's commit gauge (the max of
+/// `commit/in_flight`, [`max_concurrent_commits`]) records the high-water
+/// mark of commits concurrently past the shard lock. Behind the old
 /// store-exclusive commit section that gauge could never exceed 1.
 #[test]
 fn disjoint_branch_commits_overlap_in_their_critical_sections() {
@@ -355,7 +361,7 @@ fn disjoint_branch_commits_overlap_in_their_critical_sections() {
                         session.insert(rec(base + i)).unwrap();
                     }
                     session.commit().unwrap();
-                    if db.journal_stats().max_concurrent_commits >= 2 {
+                    if max_concurrent_commits(&db) >= 2 {
                         overlapped.store(true, Ordering::Relaxed);
                     }
                 }
@@ -365,10 +371,10 @@ fn disjoint_branch_commits_overlap_in_their_critical_sections() {
     for w in writers {
         w.join().expect("disjoint writer");
     }
-    let stats = db.journal_stats();
+    let max = max_concurrent_commits(&db);
     assert!(
-        stats.max_concurrent_commits >= 2,
-        "disjoint-branch commits never overlapped: {stats:?}"
+        max >= 2,
+        "disjoint-branch commits never overlapped: max in flight {max}"
     );
     // The overlapping commits still produced consistent branches.
     for w in 0..WRITERS {
@@ -410,10 +416,10 @@ fn same_branch_commits_still_serialize() {
     for w in writers {
         w.join().expect("same-branch writer");
     }
-    let stats = db.journal_stats();
+    let max = max_concurrent_commits(&db);
     assert_eq!(
-        stats.max_concurrent_commits, 1,
-        "same-branch commits overlapped: {stats:?}"
+        max, 1,
+        "same-branch commits overlapped: max in flight {max}"
     );
     assert_eq!(
         db.read(BranchId::MASTER).count().unwrap(),

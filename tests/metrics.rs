@@ -154,27 +154,70 @@ fn snapshot_is_torn_read_safe_under_concurrency() {
     }
 }
 
-/// `journal_stats` is a compatibility view over the registry: its three
-/// numbers must equal the commit/wal instruments they now alias.
+/// `.parallel(n)` is accepted and ignored: a parallel multi-branch read
+/// takes the planned, streaming path both in process and over the wire —
+/// one `scan/plans_pushdown`, no `scan/plans_full_decode` — and returns
+/// exactly the rows of the sequential call.
 #[test]
-fn journal_stats_is_a_view_over_the_registry() {
+fn parallel_hint_takes_the_planned_path_locally_and_remotely() {
     let dir = tempfile::tempdir().unwrap();
     let db = create_db(dir.path());
     let mut session = db.session();
-    for t in 0..3u64 {
-        for i in 0..10u64 {
-            session.insert(rec(t * 10 + i)).unwrap();
-        }
-        session.commit().unwrap();
+    for k in 0..200u64 {
+        session.insert(rec(k)).unwrap();
     }
+    session.commit().unwrap();
+    let dev = session.branch("dev").unwrap();
+    for k in 200..250u64 {
+        session.insert(rec(k)).unwrap();
+    }
+    session.update(Record::new(7, vec![70; COLS])).unwrap();
+    session.commit().unwrap();
     drop(session);
-    let js = db.journal_stats();
-    let snap = db.metrics().snapshot();
-    assert_eq!(js.grouped_txns, snap.counter("commit", "grouped_txns"));
-    assert_eq!(js.grouped_txns, 3);
-    assert_eq!(js.wal_flushes, snap.counter("wal", "flushes"));
-    let (_, in_flight_max) = snap.gauge("commit", "in_flight");
-    assert_eq!(js.max_concurrent_commits, in_flight_max);
+    let branches = [BranchId::MASTER, dev];
+    let plans = |snap: &Snapshot| {
+        (
+            snap.counter("scan", "plans_pushdown"),
+            snap.counter("scan", "plans_full_decode"),
+        )
+    };
+    let delta = |before: (u64, u64), after: (u64, u64)| (after.0 - before.0, after.1 - before.1);
+
+    let seq = db.read_branches(&branches).annotated().unwrap();
+    assert_eq!(
+        seq.len(),
+        251,
+        "200 shared rows + 50 dev inserts + dev's copy of key 7"
+    );
+    let before = plans(&db.metrics().snapshot());
+    let local = db.read_branches(&branches).parallel(4).annotated().unwrap();
+    let after = plans(&db.metrics().snapshot());
+    assert_eq!(local, seq);
+    assert_eq!(
+        delta(before, after),
+        (1, 0),
+        "local (pushdown, full decode)"
+    );
+
+    let handle = Server::bind(Arc::clone(&db), "127.0.0.1:0")
+        .unwrap()
+        .spawn();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let before = plans(&client.stats().unwrap());
+    let remote = client
+        .read_branches(&branches)
+        .parallel(4)
+        .annotated()
+        .unwrap();
+    let after = plans(&client.stats().unwrap());
+    assert_eq!(remote, seq);
+    assert_eq!(
+        delta(before, after),
+        (1, 0),
+        "remote (pushdown, full decode)"
+    );
+    drop(client);
+    handle.shutdown().unwrap();
 }
 
 /// The acceptance-criteria round trip: drive known traffic through a real

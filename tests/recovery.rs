@@ -315,6 +315,7 @@ fn crash_matrix_recovers_identically_for_every_engine() {
 /// durable one), and a flush → reopen cycle must then replay nothing.
 #[test]
 fn group_commit_crash_interleavings_recover_for_every_engine() {
+    use decibel::common::env::StdEnv;
     use decibel::pagestore::Wal;
     let config = StoreConfig::test_default();
     for kind in EngineKind::all() {
@@ -342,7 +343,7 @@ fn group_commit_crash_interleavings_recover_for_every_engine() {
             let cy = s.commit().unwrap();
             (cx, cy)
         };
-        let suffix = Wal::recover(path.join("wal.log")).unwrap().txns;
+        let suffix = Wal::recover_in(&StdEnv, path.join("wal.log")).unwrap().txns;
         assert_eq!(suffix.len(), 2, "{kind:?}: X and Y live in the suffix");
 
         // Cell A — crash mid-group: replay X and Y through a raw WAL,
@@ -351,7 +352,7 @@ fn group_commit_crash_interleavings_recover_for_every_engine() {
         copy_dir(&path, &cell_a);
         {
             std::fs::remove_file(cell_a.join("wal.log")).unwrap();
-            let raw = Wal::open(cell_a.join("wal.log"), false).unwrap();
+            let raw = Wal::open_in(&StdEnv, cell_a.join("wal.log"), false).unwrap();
             for e in &suffix[0].entries {
                 raw.append(suffix[0].txn, e).unwrap();
             }

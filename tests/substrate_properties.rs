@@ -1,8 +1,9 @@
 //! Property tests on the storage substrates: bitmap algebra, RLE and
-//! commit-store codecs, heap files, the LZSS/delta codecs of the git
-//! baseline, and the version graph's LCA.
+//! commit-store codecs, heap files, and the version graph's LCA. (The git
+//! baseline's LZSS/delta codecs are tested in `crates/gitlike`.)
 
 use decibel::bitmap::{rle, Bitmap, CommitStore};
+use decibel::common::env::std_env;
 use decibel::common::ids::{BranchId, CommitId, RecordIdx};
 use decibel::common::record::Record;
 use decibel::common::schema::{ColumnType, Schema};
@@ -147,7 +148,7 @@ proptest! {
         dup_mask in proptest::collection::vec(any::<bool>(), 1..20))
     {
         let dir = tempfile::tempdir().unwrap();
-        let mut store = CommitStore::create(dir.path().join("c"), 4).unwrap();
+        let mut store = CommitStore::create_in(std_env(), dir.path().join("c"), 4).unwrap();
         let mut committed = Vec::new();
         for (i, h) in history.iter().enumerate() {
             let bm = bitmap_from(h);
@@ -167,21 +168,6 @@ proptest! {
                 "ordinal {}", ord
             );
         }
-    }
-
-    /// LZSS and binary deltas survive arbitrary byte strings.
-    #[test]
-    fn gitlike_codecs_roundtrip(base in proptest::collection::vec(any::<u8>(), 0..2000),
-                                patch in proptest::collection::vec(any::<u8>(), 0..500)) {
-        use decibel::gitlike::{compress, delta};
-        prop_assert_eq!(compress::decompress(&compress::compress(&base)).unwrap(), base.clone());
-        // Target = base with the patch spliced into the middle.
-        let mid = base.len() / 2;
-        let mut target = base[..mid].to_vec();
-        target.extend_from_slice(&patch);
-        target.extend_from_slice(&base[mid..]);
-        let d = delta::encode(&base, &target);
-        prop_assert_eq!(delta::apply(&base, &d).unwrap(), target);
     }
 
     /// LCA is symmetric, reachable from both inputs, and idempotent on a
