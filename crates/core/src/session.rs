@@ -13,7 +13,9 @@
 //! all released when the transaction ends. Reads of committed versions
 //! (`VersionRef::Commit`) take no branch lock: commits are immutable
 //! (§2.2.2), so there is nothing a concurrent writer could change under
-//! the reader.
+//! the reader. A caller that must not wait for a lock (an event loop)
+//! runs calls through [`Session::without_waiting`], which refuses a taken
+//! lock instead.
 //!
 //! Sessions own an `Arc` to their [`Database`] and are `Send + 'static`:
 //! the server shape the paper describes — many users, one session each —
@@ -74,6 +76,40 @@ pub struct Session {
     at: VersionRef,
     /// Open transaction state.
     txn: Option<Txn>,
+    /// What a branch lock that is not free does to the call taking it.
+    wait: LockWait,
+}
+
+/// How a session treats a 2PL lock that is not free (see
+/// [`Session::without_waiting`]).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum LockWait {
+    /// Wait up to the lock manager's timeout (the default).
+    Wait,
+    /// Fail the call at once.
+    NoWait,
+    /// No-wait mode, and a call has found its lock taken.
+    Refused,
+}
+
+/// Takes `mode` on `branch` into `locks` as `wait` allows; a refused
+/// no-wait attempt flips `wait` to [`LockWait::Refused`].
+fn acquire(
+    locks: &mut TxnLocks,
+    wait: &mut LockWait,
+    branch: BranchId,
+    mode: LockMode,
+) -> Result<()> {
+    if *wait == LockWait::Wait {
+        return locks.lock(branch, mode);
+    }
+    if locks.try_lock(branch, mode) {
+        return Ok(());
+    }
+    *wait = LockWait::Refused;
+    Err(DbError::LockContention {
+        what: format!("branch {branch} ({mode:?}) is held; not waiting"),
+    })
 }
 
 struct Txn {
@@ -90,7 +126,27 @@ impl Session {
             db,
             at: VersionRef::Branch(BranchId::MASTER),
             txn: None,
+            wait: LockWait::Wait,
         }
+    }
+
+    /// Runs `f` in no-wait mode: a branch lock that is not free right now
+    /// fails the call instead of waiting for it, and this returns `None`
+    /// ("would block"). The session is then exactly as it was before `f`,
+    /// because the lock attempt is the first side effect of every call
+    /// that takes one (`get`, `insert`, `update`, `delete`, `begin`,
+    /// `commit`); the checkouts take no lock and never report it. An
+    /// event loop uses this to run a call in place and hand it to a thread
+    /// that may wait only when it would actually block.
+    pub fn without_waiting<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T>,
+    ) -> Option<Result<T>> {
+        self.wait = LockWait::NoWait;
+        let result = f(self);
+        let refused = self.wait == LockWait::Refused;
+        self.wait = LockWait::Wait;
+        (!refused).then_some(result)
     }
 
     /// The database this session is connected to.
@@ -152,7 +208,7 @@ impl Session {
         let branch = self.write_branch()?;
         self.db.journal_writable()?;
         let mut locks = self.db.locks.begin();
-        locks.lock(branch, LockMode::Exclusive)?;
+        acquire(&mut locks, &mut self.wait, branch, LockMode::Exclusive)?;
         // The WAL transaction id is not allocated here: ids are handed out
         // inside the journal's critical section at commit time, so they
         // seal in increasing order (the checkpoint watermark depends on
@@ -163,15 +219,6 @@ impl Session {
             overlay: FxHashMap::default(),
         });
         Ok(())
-    }
-
-    /// Whether an explicit or auto-begun transaction is open. While this
-    /// is `true` the session holds the branch's exclusive 2PL lock, so
-    /// further writes and reads on this session cannot block on lock
-    /// acquisition — callers (like the server's event loop) can use that
-    /// to run them inline instead of parking them on a worker thread.
-    pub fn in_transaction(&self) -> bool {
-        self.txn.is_some()
     }
 
     fn txn_mut(&mut self) -> Result<&mut Txn> {
@@ -191,11 +238,11 @@ impl Session {
                 if let Some(txn) = &mut self.txn {
                     // Growing phase: the lock joins the transaction's scope
                     // (a no-op when the exclusive write lock is held).
-                    txn.locks.lock(branch, LockMode::Shared)?;
+                    acquire(&mut txn.locks, &mut self.wait, branch, LockMode::Shared)?;
                     self.db.with_store(f)
                 } else {
                     let mut locks = self.db.locks.begin();
-                    locks.lock(branch, LockMode::Shared)?;
+                    acquire(&mut locks, &mut self.wait, branch, LockMode::Shared)?;
                     self.db.with_store(f)
                 }
             }
@@ -349,7 +396,7 @@ impl Session {
                 // Empty transaction: still a legal commit (snapshot point),
                 // and still guarded by the branch's exclusive lock.
                 let mut locks = self.db.locks.begin();
-                locks.lock(branch, LockMode::Exclusive)?;
+                acquire(&mut locks, &mut self.wait, branch, LockMode::Exclusive)?;
                 (Vec::new(), locks)
             }
         };
@@ -564,6 +611,66 @@ mod tests {
         a.commit().unwrap();
         b.insert(rec(4, 4)).unwrap();
         b.commit().unwrap();
+    }
+
+    #[test]
+    fn no_wait_calls_report_would_block_and_change_nothing() {
+        let (_d, database) = db(EngineKind::Hybrid);
+        let mut setup = database.session();
+        setup.insert(rec(1, 1)).unwrap();
+        let c1 = setup.commit().unwrap();
+        drop(setup);
+
+        let mut holder = database.session();
+        holder.begin().unwrap(); // master, exclusively
+        let mut s = database.session();
+        let untouched = |s: &Session| {
+            assert!(s.txn.is_none(), "a refused call opened a transaction");
+            assert_eq!(s.current(), VersionRef::Branch(BranchId::MASTER));
+        };
+        assert!(s.without_waiting(|s| s.get(1)).is_none());
+        untouched(&s);
+        assert!(s.without_waiting(|s| s.insert(rec(2, 2))).is_none());
+        untouched(&s);
+        assert!(s.without_waiting(|s| s.update(rec(1, 9))).is_none());
+        untouched(&s);
+        assert!(s.without_waiting(|s| s.delete(1)).is_none());
+        untouched(&s);
+        assert!(s.without_waiting(|s| s.begin()).is_none());
+        untouched(&s);
+        // The checkouts take no branch lock, so they never would block.
+        assert!(matches!(
+            s.without_waiting(|s| s.checkout_commit(c1)),
+            Some(Ok(()))
+        ));
+        assert!(matches!(
+            s.without_waiting(|s| s.checkout_branch("master")),
+            Some(Ok(BranchId::MASTER))
+        ));
+        // Outside no-wait mode the same lock still waits, then times out.
+        assert!(matches!(
+            s.get(1).unwrap_err(),
+            DbError::LockContention { .. }
+        ));
+
+        holder.rollback();
+        // `s` holds no lock: the branch is free for anyone, exclusively.
+        assert!(database
+            .locks
+            .begin()
+            .try_lock(BranchId::MASTER, LockMode::Exclusive));
+        // And each refused call now goes through, overlay empty before it.
+        let one = s.without_waiting(|s| s.get(1)).unwrap().unwrap().unwrap();
+        assert_eq!(one.field(0), 1);
+        s.without_waiting(|s| s.begin()).unwrap().unwrap();
+        assert!(s.txn.as_ref().unwrap().overlay.is_empty());
+        s.without_waiting(|s| s.insert(rec(2, 2))).unwrap().unwrap();
+        s.without_waiting(|s| s.update(rec(1, 9))).unwrap().unwrap();
+        assert!(s.without_waiting(|s| s.delete(2)).unwrap().unwrap());
+        s.commit().unwrap();
+        let mut view = s.scan_collect().unwrap();
+        view.sort_by_key(|r| r.key());
+        assert_eq!(view, vec![rec(1, 9)]);
     }
 
     #[test]

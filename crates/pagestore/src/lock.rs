@@ -13,7 +13,8 @@
 //! within the configured wait budget fails with
 //! [`DbError::LockContention`], and the caller's transaction releases
 //! everything it holds (growing phase over, shrinking phase on drop) —
-//! the standard timeout-based deadlock-victim scheme.
+//! the standard timeout-based deadlock-victim scheme. A caller that must
+//! not wait at all uses the one-shot [`TxnLocks::try_lock`].
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -138,45 +139,56 @@ impl TxnLocks {
     /// Re-acquisitions are no-ops; a shared holder asking for exclusive is
     /// upgraded when it is the sole reader.
     pub fn lock(&mut self, branch: BranchId, mode: LockMode) -> Result<()> {
+        if self.acquire(branch, mode, true) {
+            Ok(())
+        } else {
+            Err(DbError::LockContention {
+                what: format!("branch {branch} ({mode:?})"),
+            })
+        }
+    }
+
+    /// One-shot [`TxnLocks::lock`]: grants `mode` on `branch` if it is
+    /// free right now and returns `false` otherwise, without waiting. A
+    /// refused attempt leaves the scope exactly as it was.
+    pub fn try_lock(&mut self, branch: BranchId, mode: LockMode) -> bool {
+        self.acquire(branch, mode, false)
+    }
+
+    fn acquire(&mut self, branch: BranchId, mode: LockMode, wait: bool) -> bool {
         let already = self.held.iter().position(|&(b, _)| b == branch);
         match (already, mode) {
-            (Some(i), LockMode::Shared) => {
-                let _ = i;
-                return Ok(()); // shared or exclusive both satisfy a read
-            }
+            // Shared or exclusive both satisfy a read.
+            (Some(_), LockMode::Shared) => return true,
             (Some(i), LockMode::Exclusive) if self.held[i].1 == LockMode::Exclusive => {
-                return Ok(());
+                return true;
             }
             _ => {}
         }
         let upgrade = matches!(already, Some(i) if self.held[i].1 == LockMode::Shared
             && mode == LockMode::Exclusive);
 
-        let deadline = Instant::now() + self.mgr.timeout;
+        let deadline = wait.then(|| Instant::now() + self.mgr.timeout);
         let mut table = self.mgr.table.lock();
-        loop {
-            if LockManager::try_grant(&mut table, branch, mode, upgrade) {
-                break;
-            }
+        while !LockManager::try_grant(&mut table, branch, mode, upgrade) {
+            let Some(deadline) = deadline else {
+                return false;
+            };
             if self
                 .mgr
                 .released
                 .wait_until(&mut table, deadline)
                 .timed_out()
             {
-                return Err(DbError::LockContention {
-                    what: format!("branch {branch} ({mode:?})"),
-                });
+                return false;
             }
         }
         drop(table);
-        if upgrade {
-            let i = already.unwrap();
-            self.held[i].1 = LockMode::Exclusive;
-        } else {
-            self.held.push((branch, mode));
+        match already {
+            Some(i) => self.held[i].1 = LockMode::Exclusive,
+            None => self.held.push((branch, mode)),
         }
-        Ok(())
+        true
     }
 
     /// Number of distinct branches locked.
@@ -285,6 +297,22 @@ mod tests {
         let mut b = mgr.begin();
         b.lock(BranchId(5), LockMode::Exclusive).unwrap();
         b.lock(BranchId(6), LockMode::Exclusive).unwrap();
+    }
+
+    #[test]
+    fn try_lock_grants_free_locks_and_refuses_taken_ones_without_waiting() {
+        let mgr = Arc::new(LockManager::new(Duration::from_secs(5)));
+        let mut a = mgr.begin();
+        assert!(a.try_lock(BranchId(10), LockMode::Shared));
+        assert!(a.try_lock(BranchId(10), LockMode::Exclusive)); // sole reader upgrades
+        let mut b = mgr.begin();
+        let start = Instant::now();
+        assert!(!b.try_lock(BranchId(10), LockMode::Shared));
+        assert!(!b.try_lock(BranchId(10), LockMode::Exclusive));
+        assert!(start.elapsed() < Duration::from_secs(1), "try_lock waited");
+        assert_eq!(b.held(), 0, "a refused attempt holds nothing");
+        drop(a);
+        assert!(b.try_lock(BranchId(10), LockMode::Exclusive));
     }
 
     #[test]

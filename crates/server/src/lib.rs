@@ -6,7 +6,8 @@
 //! connection still holds — but instead of one OS thread per client, a
 //! single event-loop thread owns an epoll instance
 //! ([`decibel_netio::Poll`]) and every connection's socket, and a small
-//! worker pool absorbs the calls that may block. The pieces:
+//! worker pool absorbs the calls that fsync, create files, or wait for a
+//! lock. The pieces:
 //!
 //! * **Per-connection state machine.** Each connection carries an
 //!   incremental [`FrameDecoder`] (partial reads resume — there is no
@@ -33,12 +34,23 @@
 //!   backpressure contract the thread-per-client server could not offer
 //!   (it materialized whole results to bound lock hold time, at O(result)
 //!   memory).
-//! * **Worker pool.** Calls that may block — commit (group fsync), merge,
-//!   flush, 2PL lock acquisition on checkout/begin/writes — are dispatched
-//!   to a small pool.
-//!   The job moves the connection's `Session` to the worker and the
-//!   completion moves it back (sessions are `Send`), so the loop never
-//!   stalls behind a lock or an fsync.
+//! * **Placement: loop first, worker pool when a call would wait.** One
+//!   rule (`placement`) decides where a request runs. Calls that do no
+//!   IO — `Get`, `Insert`, `Update`, `Delete`, `Begin`, `Rollback`,
+//!   `CheckoutBranch`, `CheckoutCommit`, `LookupBranch`, `Stats` — run on
+//!   the loop in the session's no-wait mode
+//!   ([`Session::without_waiting`]): a branch 2PL lock that is not free
+//!   fails the attempt before it changes anything, and the unchanged
+//!   request then goes to a worker, which waits for the lock as any
+//!   session call does (deadlock-victim timeout, then
+//!   [`DbError::LockContention`]). The checkouts take no 2PL lock at
+//!   all. `Commit`, `Branch`, `Merge`, `Flush`, `Count` and `Aggregate`
+//!   always go to a small worker pool: they fsync, create files or scan
+//!   whole branches. A job moves the connection's `Session` to the worker
+//!   and the completion moves it back (sessions are `Send`), so the loop
+//!   never waits on a 2PL lock or an fsync. `server/worker_jobs` and
+//!   `server/lock_fallbacks` count the hand-offs and the loop attempts
+//!   that found their lock taken.
 //! * **Deadline wheel.** The idle read timeout ([`Server::with_read_timeout`])
 //!   is driven by the poll timeout off a min-heap of per-connection
 //!   deadlines (lazy deletion, one live entry per connection) instead of
@@ -161,8 +173,14 @@ struct Shared {
 struct ServerMetrics {
     /// Connections ever admitted (the live count is the gauge below).
     conns_total: Counter,
-    /// Request frames launched, inline fast-path and worker-bound alike.
+    /// Request frames launched, on the loop and on workers alike.
     requests: Counter,
+    /// Requests handed to the worker pool: those placed there, plus every
+    /// lock fallback.
+    worker_jobs: Counter,
+    /// Loop attempts in no-wait mode that found their 2PL lock taken and
+    /// went to a worker to wait for it.
+    lock_fallbacks: Counter,
     /// Times a streaming scan parked: socket backpressure or the
     /// per-lock chunk budget ran out and the cursor released its locks.
     stream_parks: Counter,
@@ -188,6 +206,8 @@ impl ServerMetrics {
         ServerMetrics {
             conns_total: registry.counter(family::SERVER, "conns_total"),
             requests: registry.counter(family::SERVER, "requests"),
+            worker_jobs: registry.counter(family::SERVER, "worker_jobs"),
+            lock_fallbacks: registry.counter(family::SERVER, "lock_fallbacks"),
             stream_parks: registry.counter(family::SERVER, "stream_parks"),
             conns_live: registry.gauge(family::SERVER, "conns_live"),
             pipeline_depth: registry.gauge(family::SERVER, "pipeline_depth"),
@@ -344,23 +364,21 @@ impl ServerHandle {
 // Worker pool
 // ---------------------------------------------------------------------
 
-/// A blocking call dispatched off the loop. `session` is `Some` for
-/// session-surface requests (the connection gives its session up until
-/// the completion returns it) and `None` for database-surface ones.
+/// A call dispatched off the loop. The connection gives its session up
+/// until the completion returns it.
 struct Job {
     conn: usize,
     generation: u64,
-    session: Option<Session>,
+    session: Session,
     req: Request,
 }
 
-/// A finished blocking call: the (possibly returned) session plus the
-/// fully encoded response frames to append to the connection's write
-/// buffer.
+/// A finished call: the returned session plus the fully encoded response
+/// frames to append to the connection's write buffer.
 struct Done {
     conn: usize,
     generation: u64,
-    session: Option<Session>,
+    session: Session,
     frames: Vec<u8>,
 }
 
@@ -371,7 +389,7 @@ struct WorkerPool {
 }
 
 impl WorkerPool {
-    fn start(db: &Arc<Database>, schema: &Schema, shared: &Arc<Shared>) -> WorkerPool {
+    fn start(schema: &Schema, shared: &Arc<Shared>) -> WorkerPool {
         let (tx, rx) = mpsc::channel::<Job>();
         let (done_tx, done_rx) = mpsc::channel::<Done>();
         let rx = Arc::new(Mutex::new(rx));
@@ -379,7 +397,6 @@ impl WorkerPool {
             .map(|i| {
                 let rx = Arc::clone(&rx);
                 let done_tx = done_tx.clone();
-                let db = Arc::clone(db);
                 let schema = schema.clone();
                 let shared = Arc::clone(shared);
                 std::thread::Builder::new()
@@ -392,7 +409,9 @@ impl WorkerPool {
                             Err(_) => return, // channel closed: shutdown
                         };
                         let mut session = job.session;
-                        let frames = respond_blocking(&db, &schema, session.as_mut(), job.req);
+                        let result = execute(&mut session, &shared.metrics, &job.req);
+                        let mut frames = Vec::new();
+                        queue_result(&mut frames, &schema, result);
                         // The loop may have exited (hard shutdown race);
                         // a dead channel just drops the session, which
                         // rolls back — exactly what a dropped connection
@@ -437,122 +456,138 @@ impl WorkerPool {
     }
 }
 
-/// Executes one blocking request and encodes its complete response
-/// (error frames included — every failure here is an *application* error
-/// shipped to the client; the connection stays up).
-fn respond_blocking(
-    db: &Arc<Database>,
-    schema: &Schema,
-    session: Option<&mut Session>,
-    req: Request,
-) -> Vec<u8> {
-    let mut out = Vec::new();
-    respond_blocking_into(&mut out, db, schema, session, req);
-    out
+/// Where a request runs: the server's one placement rule.
+enum Placement {
+    /// On the loop in no-wait mode ([`Session::without_waiting`]): the
+    /// call does no IO, and goes to a worker unchanged only if a 2PL lock
+    /// it needs is taken, where it waits as any session call does.
+    Loop,
+    /// On the loop as a resumable cursor streaming into the socket.
+    Stream,
+    /// On a worker: the call fsyncs (commit, flush), creates files
+    /// (branch, merge) or scans whole branches (count, aggregate).
+    Worker,
 }
 
-/// [`respond_blocking`], appending to an existing buffer — the inline
-/// fast path encodes straight into the connection's write buffer.
-fn respond_blocking_into(
-    out: &mut Vec<u8>,
-    db: &Arc<Database>,
-    schema: &Schema,
-    session: Option<&mut Session>,
-    req: Request,
-) {
+fn placement(req: &Request) -> Placement {
+    match req {
+        Request::Get { .. }
+        | Request::Insert { .. }
+        | Request::Update { .. }
+        | Request::Delete { .. }
+        | Request::Begin
+        | Request::Rollback
+        | Request::CheckoutBranch { .. }
+        | Request::CheckoutCommit { .. }
+        | Request::LookupBranch { .. }
+        | Request::Stats
+        // Answered by the auth gate before placement.
+        | Request::Auth { .. } => Placement::Loop,
+        Request::ScanSession | Request::Collect { .. } | Request::MultiScan { .. } => {
+            Placement::Stream
+        }
+        Request::Commit
+        | Request::Branch { .. }
+        | Request::Merge { .. }
+        | Request::Flush
+        | Request::Count { .. }
+        | Request::Aggregate { .. } => Placement::Worker,
+    }
+}
+
+/// Maps one call onto the session / database surface — the same
+/// one-for-one mapping the thread-per-client server used. `server` is
+/// the event loop's registry, merged into `Stats` replies.
+fn execute(session: &mut Session, server: &Registry, req: &Request) -> Result<Reply> {
+    Ok(match req {
+        Request::CheckoutBranch { name } => Reply::Branch(session.checkout_branch(name)?),
+        Request::CheckoutCommit { commit } => {
+            session.checkout_commit(*commit)?;
+            Reply::Unit
+        }
+        Request::Branch { name } => Reply::Branch(session.branch(name)?),
+        Request::LookupBranch { name } => Reply::Branch(session.database().branch_id(name)?),
+        Request::Begin => {
+            session.begin()?;
+            Reply::Unit
+        }
+        Request::Insert { record } => {
+            session.insert(record.clone())?;
+            Reply::Unit
+        }
+        Request::Update { record } => {
+            session.update(record.clone())?;
+            Reply::Unit
+        }
+        Request::Delete { key } => Reply::Bool(session.delete(*key)?),
+        Request::Get { key } => Reply::MaybeRecord(session.get(*key)?),
+        Request::Commit => Reply::Commit(session.commit()?),
+        Request::Rollback => {
+            session.rollback();
+            Reply::Unit
+        }
+        Request::Count { version, predicate } => Reply::Scalar(
+            session
+                .database()
+                .read(*version)
+                .filter(predicate.clone())
+                .count()? as f64,
+        ),
+        Request::Aggregate {
+            version,
+            column,
+            agg,
+            predicate,
+        } => Reply::Scalar(
+            session
+                .database()
+                .read(*version)
+                .filter(predicate.clone())
+                .aggregate(*column, *agg)?,
+        ),
+        Request::Merge { into, from, policy } => {
+            Reply::Merge(session.database().merge(*into, *from, *policy)?)
+        }
+        Request::Flush => {
+            session.database().flush()?;
+            Reply::Unit
+        }
+        // Snapshotting two registries is a handful of relaxed atomic
+        // loads: the database's families merged with the loop's own.
+        Request::Stats => Reply::Stats(
+            session
+                .database()
+                .metrics()
+                .snapshot()
+                .merge(&server.snapshot()),
+        ),
+        Request::Auth { .. }
+        | Request::ScanSession
+        | Request::Collect { .. }
+        | Request::MultiScan { .. } => {
+            // Unreachable by construction: the auth gate and the stream
+            // path take these before any call runs.
+            return Err(DbError::protocol("internal: request is not a call"));
+        }
+    })
+}
+
+/// Encodes a call's outcome as one response frame appended to `out` (error
+/// frames included — every failure here is an *application* error shipped
+/// to the client; the connection stays up).
+fn queue_result(out: &mut Vec<u8>, schema: &Schema, result: Result<Reply>) {
     let start = out.len();
-    let enc = match execute_blocking(db, session, req) {
-        Ok(reply) => queue_response(out, schema, &Response::Ok(reply)),
-        Err(err) => queue_response(out, schema, &Response::Err(err)),
+    let response = match result {
+        Ok(reply) => Response::Ok(reply),
+        Err(err) => Response::Err(err),
     };
-    if let Err(err) = enc {
+    if let Err(err) = queue_response(out, schema, &response) {
         // Response encoding failed (schema-mismatched record out of the
         // engine — effectively unreachable). Replace the partial output
         // with one well-formed error frame.
         out.truncate(start);
         let _ = queue_response(out, schema, &Response::Err(err));
     }
-}
-
-fn need_session() -> DbError {
-    // Unreachable by construction: the loop classifies requests before
-    // dispatch and only session-surface jobs carry the session.
-    DbError::protocol("internal: session-surface request dispatched without a session")
-}
-
-/// Maps one blocking request onto the session / database surface — the
-/// same one-for-one mapping the thread-per-client server used.
-fn execute_blocking(
-    db: &Arc<Database>,
-    session: Option<&mut Session>,
-    req: Request,
-) -> Result<Reply> {
-    if let Some(session) = session {
-        return Ok(match req {
-            Request::CheckoutBranch { name } => Reply::Branch(session.checkout_branch(&name)?),
-            Request::CheckoutCommit { commit } => {
-                session.checkout_commit(commit)?;
-                Reply::Unit
-            }
-            Request::Branch { name } => Reply::Branch(session.branch(&name)?),
-            Request::Begin => {
-                session.begin()?;
-                Reply::Unit
-            }
-            Request::Insert { record } => {
-                session.insert(record)?;
-                Reply::Unit
-            }
-            Request::Update { record } => {
-                session.update(record)?;
-                Reply::Unit
-            }
-            Request::Delete { key } => Reply::Bool(session.delete(key)?),
-            Request::Get { key } => Reply::MaybeRecord(session.get(key)?),
-            Request::Commit => Reply::Commit(session.commit()?),
-            Request::Rollback => {
-                session.rollback();
-                Reply::Unit
-            }
-            _ => return Err(need_session()),
-        });
-    }
-    Ok(match req {
-        Request::LookupBranch { name } => Reply::Branch(db.branch_id(&name)?),
-        Request::Count { version, predicate } => {
-            Reply::Scalar(db.read(version).filter(predicate).count()? as f64)
-        }
-        Request::Aggregate {
-            version,
-            column,
-            agg,
-            predicate,
-        } => Reply::Scalar(db.read(version).filter(predicate).aggregate(column, agg)?),
-        Request::Merge { into, from, policy } => Reply::Merge(db.merge(into, from, policy)?),
-        Request::Flush => {
-            db.flush()?;
-            Reply::Unit
-        }
-        _ => return Err(need_session()),
-    })
-}
-
-/// Whether a request's blocking call runs on the session surface (the
-/// worker takes the connection's session along).
-fn takes_session(req: &Request) -> bool {
-    matches!(
-        req,
-        Request::CheckoutBranch { .. }
-            | Request::CheckoutCommit { .. }
-            | Request::Branch { .. }
-            | Request::Begin
-            | Request::Insert { .. }
-            | Request::Update { .. }
-            | Request::Delete { .. }
-            | Request::Get { .. }
-            | Request::Commit
-            | Request::Rollback
-    )
 }
 
 /// Encodes `resp` as one frame appended to `out`.
@@ -658,6 +693,48 @@ impl RowSink for SocketSink<'_> {
     }
 }
 
+/// Opens the resumable cursor of a scan-shaped request. The cursor
+/// snapshots what it needs (session overlay clone / version + predicate)
+/// and holds locks only inside its chunk production. A projection naming
+/// an unknown column fails here — a typed error before any cursor opens or
+/// lock is taken — not halfway through a stream.
+fn open_stream(schema: &Schema, session: &Session, req: Request) -> Result<Box<Stream>> {
+    let db = session.database();
+    let (cursor, projection) = match req {
+        Request::ScanSession => (
+            StreamCursor::Records(session.chunked_scan()),
+            Projection::All,
+        ),
+        Request::Collect {
+            version,
+            predicate,
+            projection,
+        } => {
+            projection.validate(schema)?;
+            let cursor = db.chunked_scan_projected(version, predicate, projection.clone());
+            (StreamCursor::Records(cursor), projection)
+        }
+        // `parallel` is accepted on the wire and ignored: every
+        // multi-branch scan streams.
+        Request::MultiScan {
+            branches,
+            predicate,
+            projection,
+            ..
+        } => {
+            projection.validate(schema)?;
+            let cursor = db.chunked_multi_scan_projected(branches, predicate, projection.clone());
+            (StreamCursor::Annotated(cursor), projection)
+        }
+        _ => return Err(DbError::protocol("internal: request is not a scan")),
+    };
+    Ok(Box::new(Stream {
+        cursor,
+        rows_per_batch: proto::batch_rows(projection.image_size(schema)),
+        projection,
+    }))
+}
+
 /// What a connection is doing between events.
 enum Active {
     /// Nothing in flight; the next queued request may start.
@@ -747,7 +824,7 @@ impl EventLoop {
         };
         let mut hello_frame = Vec::new();
         write_frame(&mut hello_frame, &hello.encode()).expect("encoding hello");
-        let workers = WorkerPool::start(&server.db, &schema, &server.shared);
+        let workers = WorkerPool::start(&schema, &server.shared);
         EventLoop {
             poll: server.poll,
             listener: server.listener,
@@ -1166,124 +1243,37 @@ impl EventLoop {
             }
             return Disposition::Keep;
         }
-        // Stats is answered on the loop: snapshotting two registries is a
-        // handful of relaxed atomic loads, cheaper than a worker round
-        // trip. The reply merges the database's families with the event
-        // loop's own `server` family.
-        if matches!(req, Request::Stats) {
-            let snap = self
-                .db
-                .metrics()
-                .snapshot()
-                .merge(&self.shared.metrics.snapshot());
-            let resp = Response::Ok(Reply::Stats(snap));
-            if queue_response(&mut conn.outbuf, &self.schema, &resp).is_err() {
-                return Disposition::Close;
+        let session = conn.session.as_mut().expect("session present while idle");
+        match placement(&req) {
+            Placement::Loop => {
+                if let Some(result) =
+                    session.without_waiting(|s| execute(s, &self.shared.metrics, &req))
+                {
+                    queue_result(&mut conn.outbuf, &self.schema, result);
+                    return Disposition::Keep;
+                }
+                // A 2PL lock is taken: the worker waits for it.
+                self.obs.lock_fallbacks.inc();
             }
-            return Disposition::Keep;
-        }
-        // Inline fast path: inside an open transaction the session already
-        // holds the branch's exclusive 2PL lock, so writes and reads on it
-        // cannot block on lock acquisition (and rollback only releases
-        // locks). Running them on the loop skips the worker round trip —
-        // channel, mutex, eventfd wake — which otherwise dominates the
-        // latency of these microsecond-scale calls.
-        let inline = match &req {
-            Request::Rollback => true,
-            Request::Insert { .. }
-            | Request::Update { .. }
-            | Request::Delete { .. }
-            | Request::Get { .. } => conn.session.as_ref().is_some_and(|s| s.in_transaction()),
-            _ => false,
-        };
-        if inline {
-            respond_blocking_into(
-                &mut conn.outbuf,
-                &self.db,
-                &self.schema,
-                conn.session.as_mut(),
-                req,
-            );
-            return Disposition::Keep;
-        }
-        // A scan-shaped request with an unknown projection column fails
-        // here — a typed error frame before any cursor opens or lock is
-        // taken — not halfway through a stream.
-        if let Request::Collect { projection, .. } | Request::MultiScan { projection, .. } = &req {
-            if let Err(err) = projection.validate(&self.schema) {
-                if queue_response(&mut conn.outbuf, &self.schema, &Response::Err(err)).is_err() {
-                    return Disposition::Close;
+            Placement::Stream => {
+                match open_stream(&self.schema, session, req) {
+                    Ok(stream) => conn.active = Active::Streaming(stream),
+                    Err(err) => queue_result(&mut conn.outbuf, &self.schema, Err(err)),
                 }
                 return Disposition::Keep;
             }
+            Placement::Worker => {}
         }
-        match req {
-            // Streamed scans run on the loop: the cursor snapshots what it
-            // needs (session overlay clone / version + predicate) and
-            // holds locks only inside the cursor's chunk production.
-            Request::ScanSession => {
-                let cursor = conn
-                    .session
-                    .as_ref()
-                    .expect("session present while idle")
-                    .chunked_scan();
-                conn.active = Active::Streaming(Box::new(Stream {
-                    cursor: StreamCursor::Records(cursor),
-                    rows_per_batch: proto::batch_rows(self.schema.record_size()),
-                    projection: Projection::All,
-                }));
-            }
-            Request::Collect {
-                version,
-                predicate,
-                projection,
-            } => {
-                let cursor = self
-                    .db
-                    .chunked_scan_projected(version, predicate, projection.clone());
-                conn.active = Active::Streaming(Box::new(Stream {
-                    cursor: StreamCursor::Records(cursor),
-                    rows_per_batch: proto::batch_rows(projection.image_size(&self.schema)),
-                    projection,
-                }));
-            }
-            // `parallel` is accepted on the wire and ignored: every
-            // multi-branch scan streams.
-            Request::MultiScan {
-                branches,
-                predicate,
-                projection,
-                ..
-            } => {
-                let cursor =
-                    self.db
-                        .chunked_multi_scan_projected(branches, predicate, projection.clone());
-                conn.active = Active::Streaming(Box::new(Stream {
-                    cursor: StreamCursor::Annotated(cursor),
-                    rows_per_batch: proto::batch_rows(projection.image_size(&self.schema)),
-                    projection,
-                }));
-            }
-            // Everything that can block — 2PL acquisition, commit fsync,
-            // merge, flush — goes to the worker pool; session ops take the
-            // session along.
-            req => {
-                let session = if takes_session(&req) {
-                    Some(conn.session.take().expect("session present while idle"))
-                } else {
-                    None
-                };
-                let job = Job {
-                    conn: slot,
-                    generation: conn.generation,
-                    session,
-                    req,
-                };
-                conn.active = Active::Worker;
-                self.obs.workers_busy.inc();
-                self.workers.dispatch(job);
-            }
-        }
+        let job = Job {
+            conn: slot,
+            generation: conn.generation,
+            session: conn.session.take().expect("session present while idle"),
+            req,
+        };
+        conn.active = Active::Worker;
+        self.obs.worker_jobs.inc();
+        self.obs.workers_busy.inc();
+        self.workers.dispatch(job);
         Disposition::Keep
     }
 
@@ -1319,9 +1309,7 @@ impl EventLoop {
                 // drops the returned session, rolling back.
                 continue;
             };
-            if let Some(session) = done.session {
-                conn.session = Some(session);
-            }
+            conn.session = Some(done.session);
             conn.outbuf.extend_from_slice(&done.frames);
             conn.active = Active::Idle;
             if self.pump(done.conn) == Disposition::Close {
@@ -1595,6 +1583,38 @@ mod tests {
             Response::decode(&frame, &schema).unwrap(),
             Response::Ok(Reply::Commit(_))
         ));
+
+        // A mixed burst crosses placements: loop calls, an overlay hit,
+        // a worker-bound commit, and a loop call that needs the session
+        // back from the worker. Replies still come back in request order.
+        let rec = |k: u64| Record::new(k, vec![k, k]);
+        let mixed = [
+            Request::Get { key: 3 },
+            Request::Insert { record: rec(100) },
+            Request::Get { key: 100 },
+            Request::Commit,
+            Request::Get { key: 100 },
+        ];
+        let mut burst = Vec::new();
+        for req in &mixed {
+            write_frame(&mut burst, &req.encode(&schema).unwrap()).unwrap();
+        }
+        stream.write_all(&burst).unwrap();
+        let mut replies = Vec::new();
+        for _ in &mixed {
+            let frame = read_frame(&mut stream).unwrap().unwrap();
+            match Response::decode(&frame, &schema).unwrap() {
+                Response::Ok(reply) => replies.push(reply),
+                other => panic!("expected a reply, got {other:?}"),
+            }
+        }
+        assert!(matches!(&replies[..], [
+            Reply::MaybeRecord(Some(a)),
+            Reply::Unit,
+            Reply::MaybeRecord(Some(b)),
+            Reply::Commit(_),
+            Reply::MaybeRecord(Some(c)),
+        ] if *a == rec(3) && *b == rec(100) && *c == rec(100)));
         drop(stream);
         handle.shutdown().unwrap();
     }

@@ -1,8 +1,10 @@
 //! Integration tests for the event-loop server's asynchronous behavior:
 //! chunked scan streaming under client backpressure (O(chunk) memory, no
 //! lock held between chunks), stalled streams staying killable and
-//! timeout-proof, the 64-idle + 4-hot soak with connection churn, and the
-//! shared-secret auth gate over the public facade.
+//! timeout-proof, the 64-idle + 4-hot soak with connection churn, the
+//! shared-secret auth gate over the public facade, and request placement:
+//! point calls answered on the loop, handed to a worker only to wait for
+//! a taken 2PL lock.
 //!
 //! The slow-reader tests drive the wire by hand (raw `TcpStream` + frame
 //! codec) because the blocking [`Client`] always drains scans eagerly —
@@ -413,5 +415,130 @@ fn chunked_streams_match_in_process_results() {
         assert_eq!(remote, local, "multi-scan parity at parallel={threads}");
     }
 
+    handle.shutdown().unwrap();
+}
+
+fn small_rec(k: u64, v: u64) -> Record {
+    Record::new(k, vec![v, v])
+}
+
+/// Serves an empty two-column database on an ephemeral port.
+fn serve_small() -> (tempfile::TempDir, ServerHandle) {
+    let dir = tempfile::tempdir().unwrap();
+    let db = Database::create(
+        dir.path().join("db"),
+        EngineKind::Hybrid,
+        Schema::new(2, ColumnType::U32),
+        &StoreConfig::test_default(),
+    )
+    .unwrap();
+    (dir, Server::bind(db, "127.0.0.1:0").unwrap().spawn())
+}
+
+/// `server/<name>` from the server-side snapshot.
+fn server_counter(handle: &ServerHandle, name: &str) -> u64 {
+    handle.metrics().counter("server", name)
+}
+
+/// Uncontended point calls never leave the loop: gets, a checkout and a
+/// write burst hand nothing to the worker pool, and the commit that ends
+/// the burst is exactly one hand-off.
+#[test]
+fn uncontended_point_calls_stay_on_the_loop() {
+    let (_d, handle) = serve_small();
+    let mut setup = Client::connect(handle.local_addr()).unwrap();
+    for k in 0..10 {
+        setup.insert(small_rec(k, k)).unwrap();
+    }
+    setup.commit().unwrap();
+    drop(setup);
+
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let delta = |client: &mut Client, before: &decibel::obs::Snapshot, name: &str| {
+        client.stats().unwrap().counter("server", name) - before.counter("server", name)
+    };
+    let before = client.stats().unwrap();
+    for i in 0..200u64 {
+        assert_eq!(client.get(i % 10).unwrap(), Some(small_rec(i % 10, i % 10)));
+    }
+    client.checkout_branch("master").unwrap();
+    client.insert(small_rec(100, 1)).unwrap();
+    client.update(small_rec(100, 2)).unwrap();
+    assert_eq!(delta(&mut client, &before, "worker_jobs"), 0);
+    assert_eq!(delta(&mut client, &before, "lock_fallbacks"), 0);
+
+    let before = client.stats().unwrap();
+    client.commit().unwrap();
+    assert_eq!(delta(&mut client, &before, "worker_jobs"), 1);
+    assert_eq!(delta(&mut client, &before, "lock_fallbacks"), 0);
+    handle.shutdown().unwrap();
+}
+
+/// A get whose branch is held exclusively is not failed fast on the
+/// loop: it goes to a worker, waits for the writer's commit, and returns
+/// the committed record.
+#[test]
+fn contended_get_waits_for_the_writer_instead_of_failing_fast() {
+    let (_d, handle) = serve_small();
+    let addr = handle.local_addr();
+    let mut a = Client::connect(addr).unwrap();
+    a.begin().unwrap();
+    a.insert(small_rec(5, 50)).unwrap(); // master, exclusively
+    let fallbacks = server_counter(&handle, "lock_fallbacks");
+
+    let reader = std::thread::spawn(move || {
+        let mut b = Client::connect(addr).unwrap();
+        b.get(5)
+    });
+    // Commit only once B's get has found the lock taken, ~100 ms in.
+    let started = Instant::now();
+    let deadline = started + Duration::from_secs(5);
+    while server_counter(&handle, "lock_fallbacks") == fallbacks {
+        assert!(Instant::now() < deadline, "B's get never fell back");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(Duration::from_millis(100).saturating_sub(started.elapsed()));
+    a.commit().unwrap();
+
+    let got = reader.join().unwrap().unwrap();
+    assert_eq!(got, Some(small_rec(5, 50)));
+    assert_eq!(server_counter(&handle, "lock_fallbacks"), fallbacks + 1);
+    handle.shutdown().unwrap();
+}
+
+/// Writes rejected on the loop release the transaction they auto-began:
+/// a second client writes the branch at once, without falling back to
+/// wait for a lock. The remote twin of the session rule that failed or
+/// no-op writes do not hold the branch lock.
+#[test]
+fn rejected_loop_side_writes_leak_no_lock() {
+    let (_d, handle) = serve_small();
+    let addr = handle.local_addr();
+    let mut setup = Client::connect(addr).unwrap();
+    setup.insert(small_rec(1, 1)).unwrap();
+    setup.commit().unwrap();
+    drop(setup);
+
+    let mut a = Client::connect(addr).unwrap();
+    assert!(matches!(
+        a.insert(small_rec(1, 2)).unwrap_err(),
+        DbError::DuplicateKey { key: 1 }
+    ));
+    assert!(matches!(
+        a.update(small_rec(9, 0)).unwrap_err(),
+        DbError::KeyNotFound { key: 9 }
+    ));
+    assert!(!a.delete(9).unwrap());
+
+    let fallbacks = server_counter(&handle, "lock_fallbacks");
+    let mut b = Client::connect(addr).unwrap();
+    b.insert(small_rec(2, 2)).unwrap();
+    assert_eq!(
+        server_counter(&handle, "lock_fallbacks"),
+        fallbacks,
+        "the branch lock was still held after a's rejected writes"
+    );
+    b.commit().unwrap();
+    assert_eq!(a.get(2).unwrap(), Some(small_rec(2, 2)));
     handle.shutdown().unwrap();
 }
