@@ -43,13 +43,21 @@ pub fn ablate_bitmap(ctx: &Ctx) -> Result<Table> {
     Ok(table)
 }
 
-/// Commit-layer ablation (§3.2): checkout latency with the two-layer
-/// composite-delta chain vs a single base-delta chain, as commit depth
-/// grows.
+/// Commit-layer ablation (§3.2): checkout latency of the deepest commit
+/// with the two-layer composite-delta chain vs a single base-delta chain,
+/// both replayed forward, as commit depth grows. The last column times the
+/// default [`CommitStore::checkout`] of the mid-history commit, which picks
+/// the cheaper of the layered walk and the backward walk from the head.
 pub fn ablate_commit_layers(ctx: &Ctx) -> Result<Table> {
     let mut table = Table::new(
-        "Ablation: commit-history layering (checkout of deepest commit)".to_string(),
-        &["commits", "layered (ms)", "unlayered (ms)", "file (KB)"],
+        "Ablation: commit-history layering (forward checkout of deepest commit)".to_string(),
+        &[
+            "commits",
+            "layered (ms)",
+            "unlayered (ms)",
+            "checkout mid (ms)",
+            "file (KB)",
+        ],
     );
     let rows_per_commit = (200.0 * ctx.scale).max(10.0) as u64;
     for n_commits in [16u64, 64, 256] {
@@ -70,20 +78,21 @@ pub fn ablate_commit_layers(ctx: &Ctx) -> Result<Table> {
             }
             store.append_commit(&bm)?;
         }
-        let layered = mean_ms(ctx.repeats, || {
-            let t = Instant::now();
-            store.checkout(n_commits - 1)?;
-            Ok(t.elapsed().as_secs_f64() * 1e3)
-        })?;
-        let unlayered = mean_ms(ctx.repeats, || {
-            let t = Instant::now();
-            store.checkout_unlayered(n_commits - 1)?;
-            Ok(t.elapsed().as_secs_f64() * 1e3)
-        })?;
+        let time = |f: &dyn Fn() -> Result<Bitmap>| {
+            mean_ms(ctx.repeats, || {
+                let t = Instant::now();
+                f()?;
+                Ok(t.elapsed().as_secs_f64() * 1e3)
+            })
+        };
+        let layered = time(&|| store.checkout_layered(n_commits - 1))?;
+        let unlayered = time(&|| store.checkout_unlayered(n_commits - 1))?;
+        let mid = time(&|| store.checkout(n_commits / 2))?;
         table.row(vec![
             n_commits.to_string(),
             ms(layered),
             ms(unlayered),
+            ms(mid),
             (store.file_size() / 1024).to_string(),
         ]);
     }

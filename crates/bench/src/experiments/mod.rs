@@ -11,12 +11,11 @@ pub mod scaling;
 pub mod tablewise;
 
 use std::path::Path;
-use std::sync::OnceLock;
 
 use decibel_common::Result;
 use decibel_core::store::VersionedStore;
 use decibel_core::types::EngineKind;
-use decibel_core::{Database, ScanPool};
+use decibel_core::Database;
 
 use crate::loader::{load, LoadReport};
 use crate::spec::WorkloadSpec;
@@ -80,30 +79,33 @@ pub fn build_loaded(
     Ok((store, report))
 }
 
-/// The harness-wide work-stealing pool that multi-engine loads fan out
-/// on, sized once to the machine (zero workers on a single core, where
-/// [`ScanPool::run`] degrades to inline execution).
-fn load_pool() -> &'static ScanPool {
-    static POOL: OnceLock<ScanPool> = OnceLock::new();
-    POOL.get_or_init(|| ScanPool::new(ScanPool::default_threads()))
-}
+/// Most loads [`build_loaded_many`] runs at once.
+const MAX_LOAD_THREADS: usize = 8;
 
-/// Builds and loads one store per entry, all entries fanned out over the
-/// shared [`ScanPool`] — the multi-engine experiments (one dataset per
-/// engine, identical op stream) no longer pay engine-count × load-time on
-/// multi-core machines. Loads are independent (separate directories,
-/// per-load deterministic RNG streams), so the loaded stores are
-/// byte-identical to sequential loading; results come back in entry
-/// order. Entries whose `(kind, strategy)` coincide must point at
-/// distinct directories.
+/// Builds and loads one store per entry, on one scoped thread per entry
+/// (at most eight at a time) — the multi-engine experiments
+/// (one dataset per engine, identical op stream) no longer pay
+/// engine-count × load-time on multi-core machines. Loads are independent
+/// (separate directories, per-load deterministic RNG streams), so the
+/// loaded stores are byte-identical to sequential loading; results come
+/// back in entry order. Entries whose `(kind, strategy)` coincide must
+/// point at distinct directories.
 pub fn build_loaded_many(
     entries: &[(EngineKind, WorkloadSpec, &Path)],
 ) -> Result<Vec<(Box<dyn VersionedStore>, LoadReport)>> {
-    let tasks: Vec<_> = entries
-        .iter()
-        .map(|(kind, spec, dir)| move || build_loaded(*kind, spec, dir))
-        .collect();
-    load_pool().run(tasks).into_iter().collect()
+    let mut out = Vec::with_capacity(entries.len());
+    for chunk in entries.chunks(MAX_LOAD_THREADS) {
+        std::thread::scope(|s| {
+            let loads: Vec<_> = chunk
+                .iter()
+                .map(|(kind, spec, dir)| s.spawn(move || build_loaded(*kind, spec, dir)))
+                .collect();
+            for load in loads {
+                out.push(load.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+            }
+        });
+    }
+    out.into_iter().collect()
 }
 
 /// Mean of a sampling closure run `repeats` times, in milliseconds.

@@ -68,6 +68,17 @@ impl Bitmap {
         }
     }
 
+    /// Sets the logical length to exactly `len`: grows zero-filled like
+    /// [`Bitmap::grow`], or truncates and clears every bit at or past the
+    /// new end.
+    pub fn resize(&mut self, len: u64) {
+        if len >= self.len {
+            self.grow(len);
+        } else {
+            *self = Bitmap::from_words(std::mem::take(&mut self.words), len);
+        }
+    }
+
     /// Sets bit `i` to `v`, growing the bitmap if needed. Clearing a bit at
     /// or past the end is a no-op (bits there already read as false), so it
     /// never grows or reallocates.
@@ -371,6 +382,24 @@ mod tests {
         b.set(100, false);
         assert!(!b.get(100));
         assert_eq!(b.len(), 101);
+    }
+
+    #[test]
+    fn resize_grows_and_truncates() {
+        let mut b = Bitmap::new();
+        for i in [3u64, 64, 130] {
+            b.set(i, true);
+        }
+        b.resize(65);
+        assert_eq!(b.len(), 65);
+        assert_eq!(b.iter_ones().collect::<Vec<_>>(), vec![3, 64]);
+        b.resize(200);
+        assert_eq!(b.len(), 200);
+        assert_eq!(b.iter_ones().collect::<Vec<_>>(), vec![3, 64]);
+        let mut expect = Bitmap::zeros(200);
+        expect.set(3, true);
+        expect.set(64, true);
+        assert_eq!(b, expect);
     }
 
     #[test]

@@ -13,6 +13,17 @@
 //! that the total number of chained deltas is reduced, at the cost of some
 //! extra space. ... our implementation uses only two \[layers\]" (§3.2).
 //!
+//! [`CommitStore::checkout_layered`] is that forward walk. The default
+//! [`CommitStore::checkout`] deviates: deltas are XORs, hence self-inverse,
+//! so the state at commit `o` is also the head state the store already
+//! holds in memory XORed with every base delta newer than `o`. Checkout
+//! counts, from entry metadata alone, the non-empty entries each walk
+//! would read and takes the cheaper one. The common historical read — a
+//! merge's lowest common ancestor, which after a fork-and-merge has only
+//! empty deltas above it — becomes a clone of the head state and reads
+//! no file. Both walks return the same bitmap, length included, and every
+//! entry either walk reads is CRC-verified.
+//!
 //! Tuple-first keeps one store per branch; hybrid keeps one per
 //! (branch, segment) pair — which is why hybrid's aggregate "pack file"
 //! sizes in Table 2 are smaller: each store's bitmaps cover one segment.
@@ -44,6 +55,20 @@ struct EntryMeta {
     len: u32,
     /// CRC-32 of the RLE payload (0 for empty entries, which have none).
     crc: u32,
+    /// Bit length of the decoded delta (the payload's length varint; 0 for
+    /// empty entries). A replay is as long as the longest delta it applies,
+    /// so this lets the backward walk return the forward walk's length.
+    bits: u64,
+}
+
+impl EntryMeta {
+    /// An empty delta: no payload, nothing to read.
+    const EMPTY: EntryMeta = EntryMeta {
+        offset: 0,
+        len: 0,
+        crc: 0,
+        bits: 0,
+    };
 }
 
 /// An append-only file of RLE-compressed XOR deltas with a second
@@ -179,11 +204,7 @@ impl CommitStore {
             let mut p = pos + 1;
             let payload_len = varint::read_u64(&bytes, &mut p)? as usize;
             let meta = if payload_len == 0 {
-                EntryMeta {
-                    offset: p as u64,
-                    len: 0,
-                    crc: 0,
-                }
+                EntryMeta::EMPTY
             } else {
                 if p + ENTRY_CRC_LEN + payload_len > bytes.len() {
                     return Err(DbError::corrupt("commit store truncated"));
@@ -198,10 +219,13 @@ impl CommitStore {
                          bit-flipped entry)"
                     )));
                 }
+                // The payload opens with its codec tag, then the bit length.
+                let mut q = 1;
                 EntryMeta {
                     offset: p as u64,
                     len: payload_len as u32,
                     crc: stored,
+                    bits: varint::read_u64(payload, &mut q)?,
                 }
             };
             match kind {
@@ -212,28 +236,26 @@ impl CommitStore {
             pos = p + payload_len;
         }
         // Re-buffer the owed empty deltas behind the on-disk entries.
-        for _ in 0..pending {
-            store.base.push(EntryMeta {
-                offset: 0,
-                len: 0,
-                crc: 0,
-            });
-        }
+        store
+            .base
+            .extend(std::iter::repeat_n(EntryMeta::EMPTY, pending as usize));
         if !store.base.is_empty() {
-            store.last = store.checkout(store.base.len() as u64 - 1)?;
+            store.last = store.checkout_layered(store.base.len() as u64 - 1)?;
             let boundary = (store.base.len() / layer_interval) * layer_interval;
             store.group_start = if boundary == 0 {
                 Bitmap::new()
             } else if boundary == store.base.len() {
                 store.last.clone()
             } else {
-                store.checkout(boundary as u64 - 1)?
+                store.checkout_layered(boundary as u64 - 1)?
             };
         }
         Ok(store)
     }
 
-    fn write_entry(&mut self, kind: u8, payload: &[u8]) -> Result<EntryMeta> {
+    /// Writes `delta` as one entry of `kind`.
+    fn write_entry(&mut self, kind: u8, delta: &Bitmap) -> Result<EntryMeta> {
+        let payload = rle::encode(delta);
         if self.write_file.is_none() {
             // No truncate: positions are tracked by `write_pos`, and stale
             // bytes past it (from a pre-crash future) are overwritten here
@@ -246,7 +268,7 @@ impl CommitStore {
         }
         let file = self.write_file.as_ref().expect("write handle opened above");
         // Owed empty-delta headers first, then this entry, in one write.
-        let crc = crc32(payload);
+        let crc = crc32(&payload);
         let mut buf = Vec::with_capacity(payload.len() + 2 * self.pending_empties as usize + 14);
         for _ in 0..self.pending_empties {
             buf.push(KIND_BASE);
@@ -257,7 +279,7 @@ impl CommitStore {
         varint::write_u64(&mut buf, payload.len() as u64);
         buf.extend_from_slice(&crc.to_le_bytes());
         let header_end = self.write_pos + buf.len() as u64;
-        buf.extend_from_slice(payload);
+        buf.extend_from_slice(&payload);
         file.write_all_at(&buf, self.write_pos)
             .ctx("writing commit entry")?;
         self.write_pos += buf.len() as u64;
@@ -265,6 +287,7 @@ impl CommitStore {
             offset: header_end,
             len: payload.len() as u32,
             crc,
+            bits: delta.len(),
         })
     }
 
@@ -286,11 +309,7 @@ impl CommitStore {
             "composites with empty deltas stay base-aligned"
         );
         self.pending_empties += 1;
-        EntryMeta {
-            offset: 0,
-            len: 0,
-            crc: 0,
-        }
+        EntryMeta::EMPTY
     }
 
     /// Records a commit whose branch bitmap is `bm`; returns the commit's
@@ -302,15 +321,13 @@ impl CommitStore {
             let meta = self.note_empty(false);
             self.base.push(meta);
         } else {
-            let payload = rle::encode(&delta);
-            let meta = self.write_entry(KIND_BASE, &payload)?;
+            let meta = self.write_entry(KIND_BASE, &delta)?;
             self.base.push(meta);
             self.last = bm.clone();
         }
         if self.base.len().is_multiple_of(self.layer_interval) {
             let comp = bm.xor(&self.group_start);
-            let payload = rle::encode(&comp);
-            let meta = self.write_entry(KIND_COMPOSITE, &payload)?;
+            let meta = self.write_entry(KIND_COMPOSITE, &comp)?;
             self.composite.push(meta);
             self.group_start = bm.clone();
         }
@@ -338,23 +355,58 @@ impl CommitStore {
         rle::decode(&buf)
     }
 
-    /// Reconstructs the branch bitmap at commit `ordinal` by applying
-    /// composite deltas for whole groups and base deltas for the remainder.
+    /// Reconstructs the branch bitmap at commit `ordinal` by whichever of
+    /// the two walks reads fewer non-empty entries (counted from metadata,
+    /// no IO): the forward layered replay ([`CommitStore::checkout_layered`])
+    /// or the backward walk from the head state, `last ⊕ Δ(ordinal+1) ⊕ … ⊕
+    /// Δ(newest)`. Ties go forward, which needs no head-state clone. Both
+    /// give the same bits and length.
     pub fn checkout(&self, ordinal: u64) -> Result<Bitmap> {
+        let (groups, tail) = self.layered_walk(ordinal)?;
+        let newer = &self.base[ordinal as usize + 1..];
+        let reads = |entries: &[EntryMeta]| entries.iter().filter(|m| m.len > 0).count();
+        if reads(newer) >= reads(groups) + reads(tail) {
+            return self.replay(Bitmap::new(), groups.iter().chain(tail));
+        }
+        let mut state = self.replay(self.last.clone(), newer.iter())?;
+        // A forward replay is as long as the longest delta it applies.
+        state.resize(groups.iter().chain(tail).map(|m| m.bits).max().unwrap_or(0));
+        Ok(state)
+    }
+
+    /// Reconstructs the branch bitmap at commit `ordinal` as §3.2 does:
+    /// composite deltas for whole groups, then base deltas for the
+    /// remainder, replayed forward from the empty bitmap. [`CommitStore::open_at_in`]
+    /// rebuilds the head state this way; it is also the layered arm of the
+    /// checkout-cost ablation.
+    pub fn checkout_layered(&self, ordinal: u64) -> Result<Bitmap> {
+        let (groups, tail) = self.layered_walk(ordinal)?;
+        self.replay(Bitmap::new(), groups.iter().chain(tail))
+    }
+
+    /// The entries the layered forward walk to `ordinal` applies: whole
+    /// composite groups, then the base deltas after the last boundary.
+    fn layered_walk(&self, ordinal: u64) -> Result<(&[EntryMeta], &[EntryMeta])> {
         let ordinal = ordinal as usize;
         if ordinal >= self.base.len() {
             return Err(DbError::UnknownCommit(ordinal as u64));
         }
-        let mut file = None;
-        let mut state = Bitmap::new();
         let full_groups = (ordinal + 1) / self.layer_interval;
-        for g in 0..full_groups {
-            let d = self.read_entry(&mut file, self.composite[g])?;
-            state.xor_assign(&d);
-        }
-        for i in full_groups * self.layer_interval..=ordinal {
-            let d = self.read_entry(&mut file, self.base[i])?;
-            state.xor_assign(&d);
+        Ok((
+            &self.composite[..full_groups],
+            &self.base[full_groups * self.layer_interval..=ordinal],
+        ))
+    }
+
+    /// XORs `entries` in order onto `state`; empty entries read nothing.
+    fn replay<'a>(
+        &self,
+        mut state: Bitmap,
+        entries: impl Iterator<Item = &'a EntryMeta>,
+    ) -> Result<Bitmap> {
+        let mut file = None;
+        for &meta in entries {
+            state.xor_assign(&self.read_entry(&mut file, meta)?);
         }
         Ok(state)
     }
@@ -366,13 +418,7 @@ impl CommitStore {
         if ordinal >= self.base.len() {
             return Err(DbError::UnknownCommit(ordinal as u64));
         }
-        let mut file = None;
-        let mut state = Bitmap::new();
-        for i in 0..=ordinal {
-            let d = self.read_entry(&mut file, self.base[i])?;
-            state.xor_assign(&d);
-        }
-        Ok(state)
+        self.replay(Bitmap::new(), self.base[..=ordinal].iter())
     }
 
     /// Number of commits stored.
@@ -407,7 +453,7 @@ impl CommitStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decibel_common::env::std_env;
+    use decibel_common::env::{std_env, FaultEnv};
     use decibel_common::rng::DetRng;
 
     fn random_history(n: usize, seed: u64) -> Vec<Bitmap> {
@@ -643,11 +689,149 @@ mod tests {
         store.sync().unwrap();
         // Corrupt the disk *after* the metadata was built: checkout's
         // read path must re-verify, not trust the in-memory CRC blindly.
+        // The flipped entry is the newest delta, which the head commit's
+        // checkout never reads (it is served from memory); the commit
+        // before it walks back through exactly that entry.
         flip_bit_at_end(&path, 1);
-        let err = store.checkout(store.commit_count() - 1).unwrap_err();
+        let err = store.checkout(store.commit_count() - 2).unwrap_err();
         assert!(
             matches!(err, DbError::Corrupt { .. }),
             "expected typed corruption, got {err:?}"
+        );
+    }
+
+    /// Both walks agree with each other in bits and length, and with the
+    /// unlayered replay and the committed history in bits, at every
+    /// ordinal. (The unlayered replay's length can differ: it applies base
+    /// deltas a shrunk column has outgrown, which a composite skips.)
+    fn assert_walks_agree(store: &CommitStore, history: &[Bitmap]) {
+        assert_eq!(store.commit_count(), history.len() as u64);
+        for (o, bm) in history.iter().enumerate() {
+            let o64 = o as u64;
+            let forward = store.checkout_layered(o64).unwrap();
+            let got = store.checkout(o64).unwrap();
+            assert_eq!(got.len(), forward.len(), "commit {o}");
+            assert_eq!(got, forward, "commit {o}");
+            let unlayered = store.checkout_unlayered(o64).unwrap();
+            assert!(unlayered.iter_ones().eq(got.iter_ones()), "commit {o}");
+            assert!(got.iter_ones().eq(bm.iter_ones()), "commit {o}");
+        }
+    }
+
+    /// Derives the next commit's bitmap from the previous one.
+    fn step(bm: &mut Bitmap, op: u8, rng: &mut DetRng) {
+        match op {
+            // Unchanged: an empty delta.
+            0 => {}
+            // Appended rows.
+            1 => {
+                for _ in 0..rng.range(1, 40) {
+                    bm.set(bm.len(), true);
+                }
+            }
+            // Updates and deletes of existing rows.
+            2 => {
+                for _ in 0..rng.range(1, 8) {
+                    if !bm.is_empty() {
+                        let r = rng.below(bm.len());
+                        bm.set(r, !bm.get(r));
+                    }
+                }
+            }
+            // A length-only delta: the column grows, no bit changes.
+            3 => bm.grow(bm.len() + rng.range(1, 100)),
+            // A shrinking column (its trailing bits may be set or not).
+            _ => bm.resize(bm.len() - rng.below(bm.len() / 2 + 1)),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig {
+            cases: 48,
+            ..Default::default()
+        })]
+
+        #[test]
+        fn backward_checkout_equals_forward_replay(
+            ops in proptest::collection::vec(0u8..5, 1..80),
+            interval in 0usize..3,
+            split in 0usize..80,
+            seed in 0u64..u64::MAX,
+        ) {
+            let interval = [1, 4, 16][interval];
+            let dir = tempfile::tempdir().unwrap();
+            let path = dir.path().join("c");
+            let mut rng = DetRng::seed_from_u64(seed);
+            let mut store = CommitStore::create_in(std_env(), &path, interval).unwrap();
+            let mut bm = Bitmap::new();
+            let mut history = Vec::new();
+            for (i, &op) in ops.iter().enumerate() {
+                if i == split % ops.len() {
+                    // An empty run, then a reopen at checkpoint coverage
+                    // with its empty headers still owed.
+                    for _ in 0..rng.range(1, 4) {
+                        store.append_commit(&bm).unwrap();
+                        history.push(bm.clone());
+                    }
+                    let (covered, pending) = (store.on_disk_len(), store.pending_empty_count());
+                    store.sync().unwrap();
+                    drop(store);
+                    store = CommitStore::open_at_in(std_env(), &path, interval, covered, pending)
+                        .unwrap();
+                    assert_walks_agree(&store, &history);
+                }
+                step(&mut bm, op, &mut rng);
+                store.append_commit(&bm).unwrap();
+                history.push(bm.clone());
+            }
+            assert_walks_agree(&store, &history);
+        }
+    }
+
+    #[test]
+    fn checkout_reads_only_the_entries_its_walk_takes() {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().join("c");
+        let env = FaultEnv::new();
+        let mut store = CommitStore::create_in(Arc::new(env.clone()), &path, 4).unwrap();
+        let history = random_history(6, 23);
+        for bm in &history {
+            store.append_commit(bm).unwrap();
+        }
+        // A fork-and-merge leaves the head unchanged: three empty deltas.
+        for _ in 0..3 {
+            store.append_commit(history.last().unwrap()).unwrap();
+        }
+        store.sync().unwrap();
+        let reference = CommitStore::open_at_in(
+            std_env(),
+            &path,
+            4,
+            store.on_disk_len(),
+            store.pending_empty_count(),
+        )
+        .unwrap();
+        // Nothing has been read through `env` yet: its next read, whatever
+        // it is, comes back with a payload bit flipped.
+        env.flip_bit_in_read(0, 3);
+        for o in (5..store.commit_count()).rev() {
+            // Every newer delta is empty: served from the head state.
+            assert_eq!(
+                store.checkout(o).unwrap(),
+                reference.checkout_layered(o).unwrap(),
+                "commit {o}"
+            );
+        }
+        // Commit 4 walks back through commit 5's delta, the flipped read.
+        let err = store.checkout(4).unwrap_err();
+        assert!(
+            matches!(err, DbError::Corrupt { .. }),
+            "expected typed corruption, got {err:?}"
+        );
+        // The flip was one-shot: the same walk now verifies clean.
+        assert_eq!(
+            store.checkout(4).unwrap(),
+            reference.checkout_layered(4).unwrap()
         );
     }
 

@@ -11,10 +11,14 @@
 //! modifications, and *internal* segments frozen by branch operations,
 //! "after which only the segment's bitmap may change". The branch-segment
 //! bitmap lets scans skip segments with no live records and "allows for
-//! parallelization of segment scanning": a merge decodes its per-segment
-//! change sets as parallel tasks on the engine's [`ScanPool`]. Scans
-//! themselves stream sequentially through one [`SegmentedScan`] — a
-//! materialising per-segment fan-out measured no faster on two cores.
+//! parallelization of segment scanning". Neither scans nor merges fan out
+//! here: scans stream sequentially through one [`SegmentedScan`] (a
+//! materialising per-segment fan-out measured no faster on two cores), and
+//! a merge decodes its per-segment change sets inline. A change set is
+//! O(changed rows), so handing its few tiny decodes to a worker pool cost
+//! more in hand-off and wake-up (0.59–0.70 ms per merge on two vCPUs) than
+//! the decodes themselves, and `decibel-bench table3`'s hybrid three-way
+//! merge throughput was no lower inline.
 //!
 //! # Concurrency
 //!
@@ -36,7 +40,7 @@
 use std::collections::hash_map::Entry;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use decibel_bitmap::{Bitmap, BranchBitmapIndex, CommitStore, VersionIndex};
 use decibel_common::error::{DbError, Result};
@@ -54,7 +58,6 @@ use crate::checkpoint;
 use crate::engine::pk::{self, HeapRows, PkIndex};
 use crate::engine::scan::{decode_rows, BranchColumnScan, Seg, SegmentedScan};
 use crate::merge::{plan_merge, ChangeSet, MergeAction};
-use crate::pool::ScanPool;
 use crate::query::plan::ScanPlan;
 use crate::shard::PreparedCommit;
 use crate::store::VersionedStore;
@@ -104,10 +107,6 @@ pub struct HybridEngine {
     branch_commits: Vec<AtomicU64>,
     /// Global commit id → (branch, branch-commit ordinal).
     commit_map: RwLock<FxHashMap<CommitId, (BranchId, u64)>>,
-    /// Persistent work-stealing pool for a merge's per-segment change-set
-    /// tasks, sized to the machine once per engine on first use (no
-    /// threads are spawned per call).
-    scan_pool: OnceLock<ScanPool>,
     /// Whether checkpoint flushes fsync (from [`StoreConfig::fsync`]).
     fsync: bool,
 }
@@ -139,7 +138,6 @@ impl HybridEngine {
             graph: RwLock::new(Arc::new(VersionGraph::init())),
             branch_commits: vec![AtomicU64::new(0)],
             commit_map: RwLock::new(FxHashMap::default()),
-            scan_pool: OnceLock::new(),
             fsync: config.fsync,
         };
         engine
@@ -298,7 +296,6 @@ impl HybridEngine {
             graph: RwLock::new(Arc::new(graph)),
             branch_commits: branch_commits.into_iter().map(AtomicU64::new).collect(),
             commit_map: RwLock::new(commit_map),
-            scan_pool: OnceLock::new(),
             fsync: config.fsync,
         })
     }
@@ -492,81 +489,40 @@ impl HybridEngine {
         Ok((seg_id, idx))
     }
 
-    /// Builds a change set of `side` relative to `base` per-segment bitmaps.
-    ///
-    /// The per-segment record scans run as one task per segment on the
-    /// engine's persistent work-stealing [`ScanPool`], so a merge whose
-    /// diff touches many segments does not pay for them sequentially. Each
-    /// task decodes the rows of the segment's `and_not` bitmap
-    /// ([`decode_rows`]). Combining the task outputs is
-    /// order-independent within each phase (a version holds exactly one
-    /// live copy per key, so no two added-row tasks — and no two
-    /// removed-row tasks — can produce the same key); the *phases* keep
-    /// their order: every added row lands in the map before any removed
-    /// row's `or_insert(None)`, exactly as the sequential loops did.
+    /// Builds a change set of `side` relative to `base` per-segment bitmaps,
+    /// decoding each segment's `and_not` rows inline ([`decode_rows`]).
     fn change_set(
         &self,
         side: &[(SegmentId, Bitmap)],
         base: &[(SegmentId, Bitmap)],
     ) -> Result<(ChangeSet, u64)> {
-        let base_map: FxHashMap<SegmentId, &Bitmap> = base.iter().map(|(s, b)| (*s, b)).collect();
-        let side_map: FxHashMap<SegmentId, &Bitmap> = side.iter().map(|(s, b)| (*s, b)).collect();
-        // Plan: (segment, rows to decode, is the removed-rows phase).
-        let mut plan: Vec<(SegmentId, Bitmap, bool)> = Vec::new();
-        // Rows live on the side but not in the base: inserts/updated copies.
-        for (seg, bm) in side {
-            let added = match base_map.get(seg) {
-                Some(base_bm) => bm.and_not(base_bm),
-                None => bm.clone(),
-            };
-            if added.count_ones() > 0 {
-                plan.push((*seg, added, false));
-            }
-        }
-        // Base rows gone from the side: deletions (unless replaced above).
-        for (seg, bm) in base {
-            let removed = match side_map.get(seg) {
-                Some(side_bm) => bm.and_not(side_bm),
-                None => bm.clone(),
-            };
-            if removed.count_ones() > 0 {
-                plan.push((*seg, removed, true));
-            }
-        }
-        let removed_phase: Vec<bool> = plan.iter().map(|&(_, _, removed)| removed).collect();
-        let schema = &self.schema;
-        let tasks: Vec<_> = plan
-            .into_iter()
-            .map(|(seg, rows, _)| {
-                let rows = vec![self.seg(seg, rows, ())];
-                move || decode_rows(rows, schema)
-            })
-            .collect();
-        let outcomes = if tasks.len() > 1 {
-            self.scan_pool().run(tasks)
-        } else {
-            tasks.into_iter().map(|t| t()).collect()
+        // Per segment of `of`, the rows not live in `minus` (all of them
+        // where `minus` has no bitmap for the segment).
+        let minus_segs = |of: &[(SegmentId, Bitmap)], minus: &[(SegmentId, Bitmap)]| {
+            let minus: FxHashMap<SegmentId, &Bitmap> = minus.iter().map(|(s, b)| (*s, b)).collect();
+            of.iter()
+                .map(|(seg, bm)| {
+                    let rows = match minus.get(seg) {
+                        Some(m) => bm.and_not(m),
+                        None => bm.clone(),
+                    };
+                    self.seg(*seg, rows, ())
+                })
+                .collect()
         };
         let mut changes = ChangeSet::default();
         let mut bytes = 0u64;
-        for (removed, rows) in removed_phase.iter().zip(outcomes) {
-            for rec in rows? {
-                bytes += self.schema.record_size() as u64;
-                if *removed {
-                    changes.entry(rec.key()).or_insert(None);
-                } else {
-                    changes.insert(rec.key(), Some(rec));
-                }
-            }
+        // Rows live on the side but not in the base: inserts/updated copies.
+        for rec in decode_rows(minus_segs(side, base), &self.schema)? {
+            bytes += self.schema.record_size() as u64;
+            changes.insert(rec.key(), Some(rec));
+        }
+        // Base rows gone from the side: deletions (unless replaced above).
+        for rec in decode_rows(minus_segs(base, side), &self.schema)? {
+            bytes += self.schema.record_size() as u64;
+            changes.entry(rec.key()).or_insert(None);
         }
         Ok((changes, bytes))
-    }
-
-    /// The engine's persistent scan pool (spawned on first use, reused for
-    /// every merge thereafter).
-    fn scan_pool(&self) -> &ScanPool {
-        self.scan_pool
-            .get_or_init(|| ScanPool::new(ScanPool::default_threads()))
     }
 
     /// Segment `id` as one heap of a planned scan over the rows set in

@@ -25,7 +25,6 @@ pub mod db;
 pub mod engine;
 mod journal;
 pub mod merge;
-pub mod pool;
 pub mod query;
 pub mod session;
 pub mod shard;
@@ -38,7 +37,6 @@ pub use engine::{
     HybridEngine, TupleFirstBranchEngine, TupleFirstEngine, TupleFirstTupleEngine,
     VersionFirstEngine,
 };
-pub use pool::ScanPool;
 pub use query::{MultiReadBuilder, ReadBuilder};
 pub use session::Session;
 pub use shard::{PreparedCommit, SessionOp, ShardSet};

@@ -1,7 +1,7 @@
 //! A minimal `mio`-style readiness shim over raw `epoll`.
 //!
 //! The workspace has no registry access, so — like the `shims/` crates
-//! standing in for parking_lot and crossbeam — this crate binds the four
+//! standing in for parking_lot and the test harnesses — this crate binds the four
 //! syscalls an event loop needs (`epoll_create1`, `epoll_ctl`,
 //! `epoll_wait`, `eventfd`, plus `fcntl` for `O_NONBLOCK`) directly
 //! against libc, the same way `decibel-server`'s signal handler binds
