@@ -2,6 +2,7 @@
 //! binary's experiment list).
 
 pub mod ablate;
+pub mod branchscale;
 pub mod commits;
 pub mod gitcmp;
 pub mod load;
@@ -29,6 +30,10 @@ pub struct Ctx {
     pub repeats: usize,
     /// Drop page caches before each measured query (§5's methodology).
     pub cold: bool,
+    /// Branches `branchscale` forks per engine.
+    pub branches: u64,
+    /// Branches between two `branchscale` rows (default: a quarter).
+    pub step: Option<u64>,
 }
 
 impl Default for Ctx {
@@ -37,6 +42,8 @@ impl Default for Ctx {
             scale: 1.0,
             repeats: 3,
             cold: true,
+            branches: 2000,
+            step: None,
         }
     }
 }
@@ -48,6 +55,7 @@ impl Ctx {
             scale: 0.05,
             repeats: 1,
             cold: true,
+            ..Ctx::default()
         }
     }
 }

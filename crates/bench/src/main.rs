@@ -4,11 +4,14 @@
 //!
 //! ```text
 //! decibel-bench <experiment|all> [--scale F] [--repeats N] [--warm] [--json DIR]
+//!               [--branches N] [--step S]
 //! ```
 //!
 //! Experiments: fig6a fig6b fig7 fig8 fig9 fig10 fig11 table2 table3
 //! table4 table5 table6 table7 ablate-bitmap ablate-commit-layers
-//! ablate-clustered. Scale 1.0 keeps each experiment in the seconds-to-
+//! ablate-clustered, and `branchscale` (fork-write-commit cycles to
+//! `--branches` branches, default 2000, one row per `--step`; not part of
+//! `all`). Scale 1.0 keeps each experiment in the seconds-to-
 //! minutes range; the paper's shapes (who wins, by what factor) are the
 //! reproduction target, not absolute numbers. `--json DIR` writes each
 //! experiment's table as `DIR/<name>.json`.
@@ -58,8 +61,9 @@ fn run_one(name: &str, ctx: &Ctx) -> Result<Table> {
         "ablate-bitmap" => experiments::ablate::ablate_bitmap(ctx),
         "ablate-commit-layers" => experiments::ablate::ablate_commit_layers(ctx),
         "ablate-clustered" => experiments::ablate::ablate_clustered(ctx),
+        "branchscale" => experiments::branchscale::branchscale(ctx),
         other => Err(decibel_common::DbError::Invalid(format!(
-            "unknown experiment {other:?}; known: {}",
+            "unknown experiment {other:?}; known: {} branchscale",
             EXPERIMENTS.join(" ")
         ))),
     }
@@ -69,9 +73,10 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args[0] == "--help" || args[0] == "-h" {
         eprintln!(
-            "usage: decibel-bench <experiment|all> [--scale F] [--repeats N] [--warm] [--json DIR]"
+            "usage: decibel-bench <experiment|all> [--scale F] [--repeats N] [--warm] [--json DIR] \
+             [--branches N] [--step S]"
         );
-        eprintln!("experiments: {}", EXPERIMENTS.join(" "));
+        eprintln!("experiments: {} branchscale", EXPERIMENTS.join(" "));
         std::process::exit(2);
     }
     let mut ctx = Ctx::default();
@@ -100,6 +105,20 @@ fn main() {
                     eprintln!("--repeats needs a number");
                     std::process::exit(2);
                 });
+            }
+            "--branches" => {
+                i += 1;
+                ctx.branches = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
+                    eprintln!("--branches needs a number");
+                    std::process::exit(2);
+                });
+            }
+            "--step" => {
+                i += 1;
+                ctx.step = Some(args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
+                    eprintln!("--step needs a number");
+                    std::process::exit(2);
+                }));
             }
             "--warm" => ctx.cold = false,
             name => names.push(name.to_string()),

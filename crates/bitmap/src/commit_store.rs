@@ -96,13 +96,17 @@ pub struct CommitStore {
     /// Bitmap as of the latest composite boundary.
     group_start: Bitmap,
     layer_interval: usize,
-    /// Empty-delta headers owed to disk. Hybrid snapshots every live
-    /// (branch, segment) pair at each commit, but most segments are
+    /// Empty-delta headers owed to disk. A hybrid branch appends to every
+    /// store it holds at each commit, but most of its columns are
     /// untouched between commits; their empty deltas are buffered here
     /// and written together with the next real entry, so an unchanged
-    /// segment costs no file I/O per commit. Checkpoints record this count
+    /// column costs no file I/O per commit. Checkpoints record this count
     /// instead of forcing the headers out, preserving the optimization.
     pending_empties: u32,
+    /// Encoded entries not yet written, which go to `write_pos` ahead of
+    /// the pending empties. Only [`CommitStore::seeded_in`] leaves any
+    /// here; every append writes them out.
+    unwritten: Vec<u8>,
 }
 
 impl CommitStore {
@@ -117,11 +121,32 @@ impl CommitStore {
         path: impl AsRef<Path>,
         layer_interval: usize,
     ) -> Result<CommitStore> {
-        assert!(layer_interval >= 1);
-        let path = path.as_ref().to_path_buf();
-        Ok(CommitStore {
+        Ok(Self::seeded_in(
             env,
             path,
+            layer_interval,
+            &Bitmap::new(),
+            0,
+        ))
+    }
+
+    /// A store whose first `commits` snapshots are all `seed`, created
+    /// without IO: the entries stay in memory until the next append or
+    /// [`CommitStore::flush`] writes them, and checkouts meanwhile are
+    /// served from memory. Hybrid uses it when a branch first changes a
+    /// column it inherited, so the store covers the branch's earlier
+    /// commits.
+    pub fn seeded_in(
+        env: Arc<dyn DiskEnv>,
+        path: impl AsRef<Path>,
+        layer_interval: usize,
+        seed: &Bitmap,
+        commits: u64,
+    ) -> CommitStore {
+        assert!(layer_interval >= 1);
+        let mut store = CommitStore {
+            env,
+            path: path.as_ref().to_path_buf(),
             write_pos: 0,
             write_file: None,
             base: Vec::new(),
@@ -130,7 +155,15 @@ impl CommitStore {
             group_start: Bitmap::new(),
             layer_interval,
             pending_empties: 0,
-        })
+            unwritten: Vec::new(),
+        };
+        if commits > 0 {
+            store.record(seed);
+            for _ in 1..commits {
+                store.record_unchanged();
+            }
+        }
+        store
     }
 
     fn open_read(&self) -> Result<Arc<dyn DiskFile>> {
@@ -197,6 +230,7 @@ impl CommitStore {
             group_start: Bitmap::new(),
             layer_interval,
             pending_empties: pending,
+            unwritten: Vec::new(),
         };
         let mut pos = 0usize;
         while pos < bytes.len() {
@@ -253,9 +287,35 @@ impl CommitStore {
         Ok(store)
     }
 
-    /// Writes `delta` as one entry of `kind`.
-    fn write_entry(&mut self, kind: u8, delta: &Bitmap) -> Result<EntryMeta> {
+    /// Encodes `delta` as one entry of `kind` behind the owed empty-delta
+    /// headers, into the unwritten buffer.
+    fn encode_entry(&mut self, kind: u8, delta: &Bitmap) -> EntryMeta {
         let payload = rle::encode(delta);
+        let crc = crc32(&payload);
+        let buf = &mut self.unwritten;
+        for _ in 0..self.pending_empties {
+            buf.push(KIND_BASE);
+            varint::write_u64(buf, 0);
+        }
+        self.pending_empties = 0;
+        buf.push(kind);
+        varint::write_u64(buf, payload.len() as u64);
+        buf.extend_from_slice(&crc.to_le_bytes());
+        let offset = self.write_pos + buf.len() as u64;
+        buf.extend_from_slice(&payload);
+        EntryMeta {
+            offset,
+            len: payload.len() as u32,
+            crc,
+            bits: delta.len(),
+        }
+    }
+
+    /// Writes the unwritten entries at `write_pos`, in one write.
+    pub fn flush(&mut self) -> Result<()> {
+        if self.unwritten.is_empty() {
+            return Ok(());
+        }
         if self.write_file.is_none() {
             // No truncate: positions are tracked by `write_pos`, and stale
             // bytes past it (from a pre-crash future) are overwritten here
@@ -267,28 +327,11 @@ impl CommitStore {
             self.write_file = Some(file);
         }
         let file = self.write_file.as_ref().expect("write handle opened above");
-        // Owed empty-delta headers first, then this entry, in one write.
-        let crc = crc32(&payload);
-        let mut buf = Vec::with_capacity(payload.len() + 2 * self.pending_empties as usize + 14);
-        for _ in 0..self.pending_empties {
-            buf.push(KIND_BASE);
-            varint::write_u64(&mut buf, 0);
-        }
-        self.pending_empties = 0;
-        buf.push(kind);
-        varint::write_u64(&mut buf, payload.len() as u64);
-        buf.extend_from_slice(&crc.to_le_bytes());
-        let header_end = self.write_pos + buf.len() as u64;
-        buf.extend_from_slice(&payload);
-        file.write_all_at(&buf, self.write_pos)
+        file.write_all_at(&self.unwritten, self.write_pos)
             .ctx("writing commit entry")?;
-        self.write_pos += buf.len() as u64;
-        Ok(EntryMeta {
-            offset: header_end,
-            len: payload.len() as u32,
-            crc,
-            bits: delta.len(),
-        })
+        self.write_pos += self.unwritten.len() as u64;
+        self.unwritten.clear();
+        Ok(())
     }
 
     /// Forces every delta written through the persistent handle to stable
@@ -315,37 +358,73 @@ impl CommitStore {
     /// Records a commit whose branch bitmap is `bm`; returns the commit's
     /// ordinal within this store.
     pub fn append_commit(&mut self, bm: &Bitmap) -> Result<u64> {
+        self.record(bm);
+        self.flush()?;
+        Ok(self.base.len() as u64 - 1)
+    }
+
+    /// Records a commit at which the bitmap did not change, without
+    /// comparing it: an empty delta, no file I/O unless a composite is due
+    /// or seeded entries are still buffered.
+    pub fn append_unchanged(&mut self) -> Result<u64> {
+        self.record_unchanged();
+        self.flush()?;
+        Ok(self.base.len() as u64 - 1)
+    }
+
+    /// [`CommitStore::append_commit`] without the write.
+    fn record(&mut self, bm: &Bitmap) {
         let delta = bm.xor(&self.last);
         if delta.count_ones() == 0 && delta.len() == self.last.len() {
             // Unchanged since the previous commit: no file I/O now.
             let meta = self.note_empty(false);
             self.base.push(meta);
         } else {
-            let meta = self.write_entry(KIND_BASE, &delta)?;
+            let meta = self.encode_entry(KIND_BASE, &delta);
             self.base.push(meta);
             self.last = bm.clone();
         }
+        self.close_group(bm);
+    }
+
+    /// [`CommitStore::append_unchanged`] without the write.
+    fn record_unchanged(&mut self) {
+        let meta = self.note_empty(false);
+        self.base.push(meta);
+        let last = std::mem::take(&mut self.last);
+        self.close_group(&last);
+        self.last = last;
+    }
+
+    /// Encodes the composite delta when the base entry just recorded,
+    /// whose bitmap is `bm`, ends a layer group.
+    fn close_group(&mut self, bm: &Bitmap) {
         if self.base.len().is_multiple_of(self.layer_interval) {
             let comp = bm.xor(&self.group_start);
-            let meta = self.write_entry(KIND_COMPOSITE, &comp)?;
+            let meta = self.encode_entry(KIND_COMPOSITE, &comp);
             self.composite.push(meta);
             self.group_start = bm.clone();
         }
-        Ok(self.base.len() as u64 - 1)
     }
 
     fn read_entry(&self, file: &mut Option<Arc<dyn DiskFile>>, meta: EntryMeta) -> Result<Bitmap> {
         if meta.len == 0 {
             return Ok(Bitmap::new());
         }
-        let handle = match file {
-            Some(f) => f,
-            None => file.insert(self.open_read()?),
-        };
         let mut buf = vec![0u8; meta.len as usize];
-        handle
-            .read_exact_at(&mut buf, meta.offset)
-            .ctx("reading commit entry")?;
+        if let Some(at) = meta.offset.checked_sub(self.write_pos) {
+            // Still in the unwritten buffer.
+            let at = at as usize;
+            buf.copy_from_slice(&self.unwritten[at..at + meta.len as usize]);
+        } else {
+            let handle = match file {
+                Some(f) => f,
+                None => file.insert(self.open_read()?),
+            };
+            handle
+                .read_exact_at(&mut buf, meta.offset)
+                .ctx("reading commit entry")?;
+        }
         if crc32(&buf) != meta.crc {
             return Err(DbError::corrupt(format!(
                 "commit store entry at offset {} failed checksum (bit-flipped on disk)",
@@ -369,8 +448,7 @@ impl CommitStore {
             return self.replay(Bitmap::new(), groups.iter().chain(tail));
         }
         let mut state = self.replay(self.last.clone(), newer.iter())?;
-        // A forward replay is as long as the longest delta it applies.
-        state.resize(groups.iter().chain(tail).map(|m| m.bits).max().unwrap_or(0));
+        state.resize(layered_len(groups, tail));
         Ok(state)
     }
 
@@ -413,12 +491,13 @@ impl CommitStore {
 
     /// Reconstructs `ordinal` using only base deltas — the 1-layer scheme,
     /// kept for the checkout-cost ablation of §3.2's layering decision.
+    /// Its result has the layered walk's length: base deltas a shrunk
+    /// column has outgrown would otherwise leave it longer.
     pub fn checkout_unlayered(&self, ordinal: u64) -> Result<Bitmap> {
-        let ordinal = ordinal as usize;
-        if ordinal >= self.base.len() {
-            return Err(DbError::UnknownCommit(ordinal as u64));
-        }
-        self.replay(Bitmap::new(), self.base[..=ordinal].iter())
+        let (groups, tail) = self.layered_walk(ordinal)?;
+        let mut state = self.replay(Bitmap::new(), self.base[..=ordinal as usize].iter())?;
+        state.resize(layered_len(groups, tail));
+        Ok(state)
     }
 
     /// Number of commits stored.
@@ -429,11 +508,12 @@ impl CommitStore {
     /// On-disk size in bytes — the paper's "aggregate pack file size"
     /// metric (Table 2).
     pub fn file_size(&self) -> u64 {
-        self.write_pos + 2 * self.pending_empties as u64
+        self.write_pos + self.unwritten.len() as u64 + 2 * self.pending_empties as u64
     }
 
-    /// Bytes actually on disk (excluding buffered empty-delta headers) —
-    /// the coverage a checkpoint records for [`CommitStore::open_at_in`].
+    /// Bytes actually on disk (excluding buffered entries and empty-delta
+    /// headers) — the coverage a checkpoint records for
+    /// [`CommitStore::open_at_in`] after a [`CommitStore::flush`].
     pub fn on_disk_len(&self) -> u64 {
         self.write_pos
     }
@@ -448,6 +528,11 @@ impl CommitStore {
     pub fn path(&self) -> &Path {
         &self.path
     }
+}
+
+/// The length of a forward replay: that of the longest delta it applies.
+fn layered_len(groups: &[EntryMeta], tail: &[EntryMeta]) -> u64 {
+    groups.iter().chain(tail).map(|m| m.bits).max().unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -700,10 +785,9 @@ mod tests {
         );
     }
 
-    /// Both walks agree with each other in bits and length, and with the
-    /// unlayered replay and the committed history in bits, at every
-    /// ordinal. (The unlayered replay's length can differ: it applies base
-    /// deltas a shrunk column has outgrown, which a composite skips.)
+    /// Both walks and the unlayered replay agree with each other in bits
+    /// and length, and with the committed history in bits, at every
+    /// ordinal.
     fn assert_walks_agree(store: &CommitStore, history: &[Bitmap]) {
         assert_eq!(store.commit_count(), history.len() as u64);
         for (o, bm) in history.iter().enumerate() {
@@ -713,7 +797,8 @@ mod tests {
             assert_eq!(got.len(), forward.len(), "commit {o}");
             assert_eq!(got, forward, "commit {o}");
             let unlayered = store.checkout_unlayered(o64).unwrap();
-            assert!(unlayered.iter_ones().eq(got.iter_ones()), "commit {o}");
+            assert_eq!(unlayered.len(), got.len(), "commit {o}");
+            assert_eq!(unlayered, got, "commit {o}");
             assert!(got.iter_ones().eq(bm.iter_ones()), "commit {o}");
         }
     }
@@ -832,6 +917,53 @@ mod tests {
         assert_eq!(
             store.checkout(4).unwrap(),
             reference.checkout_layered(4).unwrap()
+        );
+    }
+
+    /// A seeded store does no IO until its next append, serves every
+    /// seeded ordinal from memory meanwhile, and then writes exactly the
+    /// bytes a store fed the same commits one by one would have written.
+    #[test]
+    fn seeded_store_defers_its_entries_and_writes_the_eager_bytes() {
+        let dir = tempfile::tempdir().unwrap();
+        let history = random_history(2, 29);
+        let (seed, next) = (&history[0], &history[1]);
+        let commits = 20; // crosses one composite boundary at interval 4
+        let env = FaultEnv::new();
+        let seeded_path = dir.path().join("seeded");
+        let mut seeded =
+            CommitStore::seeded_in(Arc::new(env.clone()), &seeded_path, 4, seed, commits);
+        assert_eq!(seeded.commit_count(), commits);
+        for o in 0..commits {
+            assert_eq!(seeded.checkout(o).unwrap(), *seed, "commit {o}");
+        }
+        assert_eq!(env.ops(), 0, "seeding wrote");
+        assert!(!seeded_path.exists());
+
+        let eager_path = dir.path().join("eager");
+        let mut eager = CommitStore::create_in(std_env(), &eager_path, 4).unwrap();
+        for _ in 0..commits {
+            eager.append_commit(seed).unwrap();
+        }
+        assert_eq!(seeded.file_size(), eager.file_size());
+        seeded.append_commit(next).unwrap();
+        eager.append_commit(next).unwrap();
+        assert_eq!(
+            std::fs::read(&seeded_path).unwrap(),
+            std::fs::read(&eager_path).unwrap()
+        );
+        seeded.sync().unwrap();
+        let reopened = CommitStore::open_at_in(
+            std_env(),
+            &seeded_path,
+            4,
+            seeded.on_disk_len(),
+            seeded.pending_empty_count(),
+        )
+        .unwrap();
+        assert_walks_agree(
+            &reopened,
+            &[vec![seed.clone(); commits as usize], vec![next.clone()]].concat(),
         );
     }
 

@@ -20,6 +20,36 @@
 //! the decodes themselves, and `decibel-bench table3`'s hybrid three-way
 //! merge throughput was no lower inline.
 //!
+//! # Commit histories: only what changed
+//!
+//! §3.2 stores a commit as "the delta from the prior commit (computed by
+//! doing an XOR of the two bitmaps)", and hybrid keeps one such history per
+//! (segment, branch) pair (§5.3). A commit's cost follows the columns its
+//! branch changed, not the segments its lineage holds:
+//!
+//! - *Dirty columns.* Every path that changes a branch's column
+//!   (`clear_old`, `append_live`, a merge adopting the source's copy) sets
+//!   the column's dirty mark. A commit appends one entry to every store its
+//!   branch holds: the XOR delta where the mark is set, an empty note (no
+//!   IO, no comparison) where it is not.
+//! - *A store at a column's first change.* A (segment, branch) store comes
+//!   into being when the branch first changes that column, before the
+//!   change lands, under the segment's index write lock. Until then the
+//!   column is what the branch was created with (inherited at a fork,
+//!   restored at a fork from a commit, or empty), so it is what every
+//!   earlier commit of the branch holds: the store starts with that column
+//!   at each of them (`first = 0`), or, for an empty column, with no entry
+//!   and `first` at the next commit. The read rule for a commit at branch
+//!   ordinal `ord` follows: a column with a store reads
+//!   `checkout(ord - first)`, or no rows if `ord < first`; a column without
+//!   one reads its current value; no column means no rows. A reader checks
+//!   the store and reads the column under the index read lock, so a first
+//!   change racing the read is seen whole or not at all.
+//! - *Live-only inheritance.* A fork gives the child a column, and a bit
+//!   in its branch-segment row, only where the parent has a live row: the
+//!   row holds "the segments that contain at least one record alive in the
+//!   branch" (§3.4). Empty head segments stay with the parent.
+//!
 //! # Concurrency
 //!
 //! The write path (`insert`/`update`/`delete`/`prepare_commit`/
@@ -30,12 +60,13 @@
 //! primary-key index has its own lock (the indexes share unwritten buckets
 //! copy-on-write, see `engine/pk.rs`; a branch's lock still covers everything
 //! reachable through its handle), the branch-segment bitmap has one,
-//! branch-commit ordinals are atomics, and the version graph is
-//! copy-on-write behind a lock. Segment *membership* (`segments`, `head`,
-//! `frozen`) only changes under `&mut self` (branch/merge/checkpoint), for
-//! which the database holds its store lock exclusively. Lock order within
-//! the engine is pk → segment index → segment stores → graph → commit map;
-//! the heap tail latch is a leaf.
+//! branch-commit ordinals are atomics, each branch's dirty marks sit behind
+//! a mutex, and the version graph is copy-on-write behind a lock. Segment
+//! *membership* (`segments`, `head`, `frozen`) only changes under
+//! `&mut self` (branch/merge/checkpoint), for which the database holds its
+//! store lock exclusively. Lock order within the engine is pk → segment
+//! index → branch dirty marks → segment stores → graph → commit map; the
+//! heap tail latch is a leaf.
 
 use std::collections::hash_map::Entry;
 use std::path::{Path, PathBuf};
@@ -52,7 +83,7 @@ use decibel_common::varint;
 use decibel_obs::Counter;
 use decibel_pagestore::{BufferPool, HeapFile, StoreConfig};
 use decibel_vgraph::VersionGraph;
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use crate::checkpoint;
 use crate::engine::pk::{self, HeapRows, PkIndex};
@@ -78,7 +109,11 @@ struct HySegment {
     /// Mutated only under `&mut self` (branch operations).
     frozen: bool,
     /// Per-branch commit stores ("in hybrid, each (branch, segment) has its
-    /// own file", §5.3) plus the branch-commit ordinal at store creation.
+    /// own file", §5.3), each with `first`: the branch-commit ordinal of the
+    /// store's snapshot 0. Commits of the branch before `first` had no rows
+    /// here. A branch has a store here only once it changed its column
+    /// here (see the module docs); the store covers every branch commit
+    /// from `first` on.
     stores: RwLock<FxHashMap<BranchId, (CommitStore, u64)>>,
 }
 
@@ -107,6 +142,10 @@ pub struct HybridEngine {
     branch_commits: Vec<AtomicU64>,
     /// Global commit id → (branch, branch-commit ordinal).
     commit_map: RwLock<FxHashMap<CommitId, (BranchId, u64)>>,
+    /// Per branch: the segments holding one of its commit stores, each
+    /// with its dirty mark — whether the branch's column there changed
+    /// since the branch's last commit.
+    stores_of: Vec<Mutex<FxHashMap<SegmentId, bool>>>,
     /// Whether checkpoint flushes fsync (from [`StoreConfig::fsync`]).
     fsync: bool,
 }
@@ -138,6 +177,7 @@ impl HybridEngine {
             graph: RwLock::new(Arc::new(VersionGraph::init())),
             branch_commits: vec![AtomicU64::new(0)],
             commit_map: RwLock::new(FxHashMap::default()),
+            stores_of: vec![Mutex::new(FxHashMap::default())],
             fsync: config.fsync,
         };
         engine
@@ -257,7 +297,11 @@ impl HybridEngine {
         // Pass 3: reopen the commit stores and validate each delta chain
         // against the branch's recorded commit count — a store that lost a
         // synced delta (or kept one from a discarded future) fails here
-        // rather than serving a wrong historical checkout later.
+        // rather than serving a wrong historical checkout later. Every
+        // store starts dirty: its branch's next commit compares the column
+        // with the store's head state instead of trusting a mark that did
+        // not survive the close.
+        let mut stores_of: Vec<FxHashMap<SegmentId, bool>> = vec![FxHashMap::default(); n_branches];
         for (s, specs) in store_specs.into_iter().enumerate() {
             for (b, first, covered, pending) in specs {
                 let store = CommitStore::open_at_in(
@@ -280,6 +324,7 @@ impl HybridEngine {
                     )));
                 }
                 segments[s].stores.get_mut().insert(b, (store, first));
+                stores_of[b.index()].insert(SegmentId(s as u32), true);
             }
         }
         let pk_cow_entries = pk::cow_entries_counter(&config.metrics);
@@ -296,6 +341,7 @@ impl HybridEngine {
             graph: RwLock::new(Arc::new(graph)),
             branch_commits: branch_commits.into_iter().map(AtomicU64::new).collect(),
             commit_map: RwLock::new(commit_map),
+            stores_of: stores_of.into_iter().map(Mutex::new).collect(),
             fsync: config.fsync,
         })
     }
@@ -380,28 +426,30 @@ impl HybridEngine {
             .collect()
     }
 
-    /// Appends a commit snapshot of every (branch, segment) bitmap and
-    /// returns the branch-commit ordinal. Safe to run concurrently with
-    /// other *branches'* snapshots (they touch other columns and other
-    /// commit stores); same-branch callers are serialized by the database.
+    /// Appends one snapshot to every commit store of `branch` and returns
+    /// the branch-commit ordinal: the column's delta where the dirty mark
+    /// is set, an empty note (no IO, no comparison) where it is not. Safe
+    /// to run concurrently with other *branches'* snapshots (they touch
+    /// other columns and other commit stores); same-branch callers are
+    /// serialized by the database, and so are this branch's writers.
     fn snapshot_commit(&self, branch: BranchId) -> Result<u64> {
         let ord = self.branch_commits[branch.index()].load(Ordering::Acquire);
-        for seg_id in self.segments_of(branch) {
+        let marked: Vec<(SegmentId, bool)> = self.stores_of[branch.index()]
+            .lock()
+            .iter_mut()
+            .map(|(&seg, dirty)| (seg, std::mem::take(dirty)))
+            .collect();
+        for (seg_id, dirty) in marked {
             let seg = &self.segments[seg_id.index()];
-            let col = seg.index.read().branch_bitmap(branch);
+            let col = dirty.then(|| seg.index.read().branch_bitmap(branch));
             let mut stores = seg.stores.write();
-            let (store, _) = match stores.entry(branch) {
-                Entry::Occupied(e) => e.into_mut(),
-                Entry::Vacant(e) => {
-                    let store = CommitStore::create_in(
-                        Arc::clone(self.pool.env()),
-                        store_path(&self.dir, seg_id, branch),
-                        CommitStore::DEFAULT_LAYER_INTERVAL,
-                    )?;
-                    e.insert((store, ord))
-                }
+            let (store, _) = stores
+                .get_mut(&branch)
+                .expect("a segment in `stores_of` holds the branch's store");
+            match col {
+                Some(col) => store.append_commit(&col)?,
+                None => store.append_unchanged()?,
             };
-            store.append_commit(&col)?;
         }
         self.branch_commits[branch.index()].store(ord + 1, Ordering::Release);
         Ok(ord)
@@ -433,12 +481,27 @@ impl HybridEngine {
                     .get(&c)
                     .ok_or(DbError::UnknownCommit(c.raw()))?;
                 let mut out = Vec::new();
-                for (idx, seg) in self.segments.iter().enumerate() {
+                for seg_id in self.segments_of(b) {
+                    let seg = &self.segments[seg_id.index()];
+                    // The store check and the column read share the index
+                    // read lock. A first change creates its store under the
+                    // write lock before it touches the column, so this sees
+                    // either no store and the column as of `ord`, or the
+                    // store.
+                    let index = seg.index.read();
                     let stores = seg.stores.read();
-                    if let Some((store, first)) = stores.get(&b) {
-                        if ord >= *first && ord - first < store.commit_count() {
-                            out.push((SegmentId(idx as u32), store.checkout(ord - first)?));
+                    match stores.get(&b) {
+                        Some((store, first)) => {
+                            drop(index);
+                            if ord >= *first {
+                                out.push((seg_id, store.checkout(ord - first)?));
+                            }
                         }
+                        // Unchanged since the branch was created.
+                        None if index.has_branch(b) => {
+                            out.push((seg_id, index.branch_bitmap(b)));
+                        }
+                        None => {}
                     }
                 }
                 Ok(out)
@@ -446,14 +509,47 @@ impl HybridEngine {
         }
     }
 
-    /// Ensures `branch` has a bitmap column in `seg`.
-    fn ensure_column(&self, seg: SegmentId, branch: BranchId) {
-        let s = &self.segments[seg.index()];
-        let mut index = s.index.write();
+    /// Sets `branch`'s live bit for `row` of segment `seg_id`, giving the
+    /// branch a column there if it has none. The column's first change
+    /// since the branch was created first creates its commit store, under
+    /// the same index write lock (see [`HybridEngine::version_bitmaps`]);
+    /// every change sets the dirty mark.
+    fn set_live(&self, branch: BranchId, seg_id: SegmentId, row: RecordIdx, live: bool) {
+        let seg = &self.segments[seg_id.index()];
+        let mut index = seg.index.write();
+        let mut marks = self.stores_of[branch.index()].lock();
+        match marks.entry(seg_id) {
+            Entry::Occupied(mut e) => {
+                e.insert(true);
+            }
+            Entry::Vacant(e) => {
+                // Unchanged since the branch was created, so the column is
+                // what every earlier commit of the branch holds here: none
+                // of them had a row if it is empty, all of them had it as
+                // it is if not (an inherited or restored column).
+                let commits = self.branch_commits[branch.index()].load(Ordering::Acquire);
+                let inherited = index.branch_ref(branch).and_then(|c| c.next_one(0));
+                let (seed, first) = match inherited {
+                    Some(_) => (index.branch_bitmap(branch), 0),
+                    None => (Bitmap::new(), commits),
+                };
+                let store = CommitStore::seeded_in(
+                    Arc::clone(self.pool.env()),
+                    store_path(&self.dir, seg_id, branch),
+                    CommitStore::DEFAULT_LAYER_INTERVAL,
+                    &seed,
+                    commits - first,
+                );
+                seg.stores.write().insert(branch, (store, first));
+                e.insert(true);
+            }
+        }
+        drop(marks);
         if !index.has_branch(branch) {
             index.add_branch(branch, None);
         }
-        index.ensure_rows(s.heap.len());
+        index.ensure_rows(seg.heap.len());
+        index.set(branch, row.raw(), live);
     }
 
     /// Clears the live bit of a branch's current copy of a key, if any.
@@ -461,10 +557,7 @@ impl HybridEngine {
         let old = self.pk[branch.index()].write().remove(key)?;
         // Internal segments stay frozen for data, "only the segment's
         // bitmap may change" (§3.4) — exactly this operation.
-        let seg = &self.segments[old.0.index()];
-        let mut index = seg.index.write();
-        index.ensure_rows(seg.heap.len());
-        index.set(branch, old.1.raw(), false);
+        self.set_live(branch, old.0, old.1, false);
         Some(old)
     }
 
@@ -474,14 +567,7 @@ impl HybridEngine {
         let seg = &self.segments[seg_id.index()];
         debug_assert!(!seg.frozen, "head segment must be unfrozen");
         let idx = seg.heap.append(record)?;
-        {
-            let mut index = seg.index.write();
-            if !index.has_branch(branch) {
-                index.add_branch(branch, None);
-            }
-            index.ensure_rows(seg.heap.len());
-            index.set(branch, idx.raw(), true);
-        }
+        self.set_live(branch, seg_id, idx, true);
         self.mark_branch_segment(branch, seg_id);
         self.pk[branch.index()]
             .write()
@@ -606,6 +692,7 @@ impl VersionedStore for HybridEngine {
         let new_b = Arc::make_mut(self.graph.get_mut()).create_branch(name, from_commit)?;
         debug_assert_eq!(new_b.index(), self.pk.len());
         self.branch_commits.push(AtomicU64::new(0));
+        self.stores_of.push(Mutex::new(FxHashMap::default()));
         match parent_branch {
             Some(p) => {
                 // "The branch operation creates two new head segments ...
@@ -615,13 +702,18 @@ impl VersionedStore for HybridEngine {
                 let old_head = self.head[p.index()];
                 self.segments[old_head.index()].frozen = true;
                 // Child inherits the parent's liveness in every ancestral
-                // segment — "a bitmap scan ... only for those records in
-                // the direct ancestry instead of on the entire bitmap".
-                self.branch_seg.get_mut().add_branch(new_b, Some(p));
-                for seg_id in self.segments_of(p) {
-                    let index = self.segments[seg_id.index()].index.get_mut();
-                    if index.has_branch(p) {
+                // segment where the parent has a live row — "a bitmap scan
+                // ... only for those records in the direct ancestry instead
+                // of on the entire bitmap". Its branch-segment row is
+                // exactly those segments, "the segments that contain at
+                // least one record alive in the branch".
+                let branch_seg = self.branch_seg.get_mut();
+                branch_seg.add_branch(new_b, None);
+                for s in branch_seg.branch_bitmap(p).iter_ones() {
+                    let index = self.segments[s as usize].index.get_mut();
+                    if index.branch_ref(p).and_then(|c| c.next_one(0)).is_some() {
                         index.add_branch(new_b, Some(p));
+                        branch_seg.set(new_b, s, true);
                     }
                 }
                 // The key index is shared, not copied: see [`PkIndex`].
@@ -882,11 +974,7 @@ impl VersionedStore for HybridEngine {
                         .get(*key)
                         .expect("a key the source changed is live in the source");
                     self.clear_old(into, *key);
-                    self.ensure_column(seg, into);
-                    self.segments[seg.index()]
-                        .index
-                        .write()
-                        .set(into, idx.raw(), true);
+                    self.set_live(into, seg, idx, true);
                     self.mark_branch_segment(into, seg);
                     self.pk[into.index()].write().insert(*key, (seg, idx));
                     changed += 1;
@@ -948,11 +1036,14 @@ impl VersionedStore for HybridEngine {
     }
 
     fn checkpoint(&mut self) -> Result<Vec<u8>> {
-        for seg in &self.segments {
+        for seg in &mut self.segments {
             seg.heap.flush()?;
             if self.fsync {
                 seg.heap.sync()?;
-                for (store, _) in seg.stores.read().values() {
+            }
+            for (store, _) in seg.stores.get_mut().values_mut() {
+                store.flush()?;
+                if self.fsync {
                     store.sync()?;
                 }
             }
@@ -1079,6 +1170,25 @@ mod tests {
             keys(eng.scan(dev.into()).unwrap()),
             (0..5).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn fork_inherits_only_segments_with_live_rows() {
+        let (_d, mut eng) = engine();
+        eng.insert(BranchId::MASTER, rec(1, 0)).unwrap();
+        eng.create_branch("a", BranchId::MASTER.into()).unwrap();
+        // Master's new head segment is empty: a second fork skips it.
+        let empty_head = eng.head[BranchId::MASTER.index()];
+        let b = eng.create_branch("b", BranchId::MASTER.into()).unwrap();
+        assert_eq!(eng.segments_of(b), vec![SegmentId(0), eng.head[b.index()]]);
+        assert!(!eng.segments[empty_head.index()].index.read().has_branch(b));
+        assert_eq!(keys(eng.scan(b.into()).unwrap()), vec![1]);
+        // And a fork's first commit writes no store for what it inherited.
+        eng.commit(b).unwrap();
+        assert!(eng
+            .segments
+            .iter()
+            .all(|s| !s.stores.read().contains_key(&b)));
     }
 
     #[test]

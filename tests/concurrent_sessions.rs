@@ -550,3 +550,63 @@ fn open_recovers_branches_and_survives_a_second_crash() {
         10
     );
 }
+
+/// A session reading a branch's last commit, again and again, while
+/// another session commits that branch's first writes into the segments
+/// it inherited. Every read must be the commit's rows: a write that gives
+/// an inherited column its own history must not leak into the commits it
+/// follows.
+#[test]
+fn commit_reads_stay_exact_while_first_writes_land_in_inherited_segments() {
+    const SEGMENTS: u64 = 4;
+    const ROWS: u64 = 200;
+    const ROUNDS: u64 = 6;
+    for kind in EngineKind::all() {
+        let (_d, db) = create(kind);
+        let mut writer = db.session();
+        // Each fork of master freezes its head, so master's rows end up
+        // spread over several segments.
+        for s in 0..SEGMENTS {
+            for k in 0..ROWS {
+                writer.insert(rec(s * ROWS + k)).unwrap();
+            }
+            writer.commit().unwrap();
+            db.create_branch(&format!("freeze-{s}"), BranchId::MASTER)
+                .unwrap();
+        }
+        for round in 0..ROUNDS {
+            writer.checkout_branch("master").unwrap();
+            writer.branch(&format!("b{round}")).unwrap();
+            writer.insert(rec(SEGMENTS * ROWS + round)).unwrap();
+            let commit = writer.commit().unwrap();
+            let mut reader = db.session();
+            reader.checkout_commit(commit).unwrap();
+            let mut want = reader.scan_collect().unwrap();
+            want.sort_by_key(Record::key);
+            let stop = AtomicBool::new(false);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let mut reads = 0u64;
+                    while reads == 0 || !stop.load(Ordering::Acquire) {
+                        let mut got = reader.scan_collect().unwrap();
+                        got.sort_by_key(Record::key);
+                        assert!(
+                            got == want,
+                            "{kind:?} round {round}: commit {commit} read {} rows, {} committed",
+                            got.len(),
+                            want.len()
+                        );
+                        reads += 1;
+                    }
+                });
+                // One first write into each inherited segment per commit.
+                for seg in 0..SEGMENTS {
+                    let key = seg * ROWS + round;
+                    writer.update(Record::new(key, vec![key + 1, 1])).unwrap();
+                    writer.commit().unwrap();
+                }
+                stop.store(true, Ordering::Release);
+            });
+        }
+    }
+}

@@ -148,6 +148,10 @@ fn steps() -> Vec<Step> {
             )
             .map(|_| ())
         },
+        // dev's first write into the segment it inherited from master,
+        // after dev already has commits: that column's history starts
+        // here, and the next checkpoint records it.
+        |db| commit_on(db, "dev", |s| s.update(rec(0, 6))),
         |db| {
             commit_on(db, "master", |s| {
                 (30..33u64).try_for_each(|k| s.insert(rec(k, 4)))

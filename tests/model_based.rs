@@ -3,24 +3,48 @@
 //! cloned on branch creation, snapshotted on commit) under arbitrary
 //! operation sequences. proptest drives hundreds of randomized histories
 //! through all four engines and the model simultaneously.
+//!
+//! A merge runs the shared planner (`plan_merge`) on the model's change
+//! sets against the engine graph's lowest common ancestor. Change sets are
+//! physical in every engine: a key changed when its live *copy* did, so
+//! the model tags each record with the write that made its copy. Adopting
+//! the source's copy keeps the tag; a field-merged record is a new copy.
 
 use std::collections::BTreeMap;
 
 use decibel::common::ids::{BranchId, CommitId};
 use decibel::common::record::Record;
-use decibel::core::types::EngineKind;
+use decibel::core::merge::{plan_merge, ChangeSet, MergeAction};
+use decibel::core::types::{EngineKind, MergePolicy};
 use decibel_bench::experiments::build_store;
 use decibel_bench::WorkloadSpec;
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
 enum Op {
-    Insert { key: u64, tag: u64 },
-    Update { key_choice: usize, tag: u64 },
-    Delete { key_choice: usize },
-    Branch { from_choice: usize },
+    Insert {
+        key: u64,
+        tag: u64,
+    },
+    Update {
+        key_choice: usize,
+        tag: u64,
+    },
+    Delete {
+        key_choice: usize,
+    },
+    Branch {
+        from_choice: usize,
+    },
     Commit,
-    SwitchBranch { choice: usize },
+    SwitchBranch {
+        choice: usize,
+    },
+    Merge {
+        from_choice: usize,
+        three_way: bool,
+        prefer_left: bool,
+    },
 }
 
 fn op_strategy() -> impl proptest::strategy::Strategy<Value = Op> {
@@ -31,15 +55,92 @@ fn op_strategy() -> impl proptest::strategy::Strategy<Value = Op> {
         1 => any::<usize>().prop_map(|from_choice| Op::Branch { from_choice }),
         2 => Just(Op::Commit),
         2 => any::<usize>().prop_map(|choice| Op::SwitchBranch { choice }),
+        2 => (any::<usize>(), any::<bool>(), any::<bool>()).prop_map(
+            |(from_choice, three_way, prefer_left)| Op::Merge { from_choice, three_way, prefer_left }
+        ),
+    ]
+}
+
+/// A branch's rows: key → (record, the write that made its copy).
+type Rows = BTreeMap<u64, (Record, u64)>;
+
+/// Histories that branch, switch and merge often, so that merges find
+/// changes on both sides and later merges build on earlier ones.
+fn merge_heavy_strategy() -> impl proptest::strategy::Strategy<Value = Op> {
+    prop_oneof![
+        4 => (0u64..50, 0u64..1000).prop_map(|(key, tag)| Op::Insert { key, tag }),
+        4 => (any::<usize>(), 0u64..1000).prop_map(|(key_choice, tag)| Op::Update { key_choice, tag }),
+        1 => any::<usize>().prop_map(|key_choice| Op::Delete { key_choice }),
+        2 => any::<usize>().prop_map(|from_choice| Op::Branch { from_choice }),
+        1 => Just(Op::Commit),
+        3 => any::<usize>().prop_map(|choice| Op::SwitchBranch { choice }),
+        3 => (any::<usize>(), any::<bool>(), any::<bool>()).prop_map(
+            |(from_choice, three_way, prefer_left)| Op::Merge { from_choice, three_way, prefer_left }
+        ),
     ]
 }
 
 #[derive(Default)]
 struct Model {
     /// Live state per branch.
-    branches: Vec<BTreeMap<u64, Record>>,
+    branches: Vec<Rows>,
     /// Snapshot per commit id.
-    commits: Vec<BTreeMap<u64, Record>>,
+    commits: Vec<Rows>,
+    /// Writes so far: the next copy's tag.
+    writes: u64,
+}
+
+impl Model {
+    fn put(&mut self, branch: BranchId, rec: Record) {
+        self.writes += 1;
+        self.branches[branch.index()].insert(rec.key(), (rec, self.writes));
+    }
+
+    /// Merges `from` into `into` as the engines do: both heads are
+    /// committed, then the plan over the two change sets against `lca`
+    /// is applied to `into` and committed.
+    fn merge(&mut self, into: BranchId, from: BranchId, policy: MergePolicy, lca: CommitId) {
+        let (left, right) = (&self.branches[into.index()], &self.branches[from.index()]);
+        self.commits.push(left.clone());
+        self.commits.push(right.clone());
+        let base = &self.commits[lca.index()];
+        let changes = |side: &Rows| -> ChangeSet {
+            // Copies the base does not hold: inserts and updates.
+            let mut out: ChangeSet = side
+                .iter()
+                .filter(|(key, (_, copy))| base.get(key).is_none_or(|(_, c)| c != copy))
+                .map(|(key, (rec, _))| (*key, Some(rec.clone())))
+                .collect();
+            // Base keys gone from the side: deletions.
+            for key in base.keys().filter(|key| !side.contains_key(key)) {
+                out.insert(*key, None);
+            }
+            out
+        };
+        let plan = plan_merge(policy, &changes(left), &changes(right), 0, |key| {
+            Ok(base.get(&key).map(|(rec, _)| rec.clone()))
+        })
+        .unwrap();
+        let right = right.clone();
+        for (key, action) in plan.actions {
+            match action {
+                MergeAction::KeepLeft => {}
+                MergeAction::TakeRight(_) => {
+                    let copy = right[&key].clone();
+                    self.branches[into.index()].insert(key, copy);
+                }
+                MergeAction::Materialize(rec) => self.put(into, rec),
+                MergeAction::Delete => {
+                    self.branches[into.index()].remove(&key);
+                }
+            }
+        }
+        self.commits.push(self.branches[into.index()].clone());
+    }
+}
+
+fn records(rows: &Rows) -> Vec<Record> {
+    rows.values().map(|(rec, _)| rec.clone()).collect()
 }
 
 fn rec(key: u64, tag: u64) -> Record {
@@ -70,13 +171,13 @@ fn run_history(kind: EngineKind, ops: &[Op]) {
                         // Keep the model in sync with VF's upsert behavior
                         // by skipping — generator avoids this case below.
                         assert!(result.is_ok());
-                        model.branches[current.index()].insert(*key, rec(*key, *tag));
+                        model.put(current, rec(*key, *tag));
                     } else {
                         assert!(result.is_err(), "{kind:?} must reject duplicate insert");
                     }
                 } else {
                     result.unwrap();
-                    model.branches[current.index()].insert(*key, rec(*key, *tag));
+                    model.put(current, rec(*key, *tag));
                 }
             }
             Op::Update { key_choice, tag } => {
@@ -86,7 +187,7 @@ fn run_history(kind: EngineKind, ops: &[Op]) {
                 }
                 let key = keys[key_choice % keys.len()];
                 store.update(current, rec(key, *tag)).unwrap();
-                model.branches[current.index()].insert(key, rec(key, *tag));
+                model.put(current, rec(key, *tag));
             }
             Op::Delete { key_choice } => {
                 let keys: Vec<u64> = model.branches[current.index()].keys().copied().collect();
@@ -117,6 +218,35 @@ fn run_history(kind: EngineKind, ops: &[Op]) {
             Op::SwitchBranch { choice } => {
                 current = BranchId(*choice as u32 % branch_count);
             }
+            Op::Merge {
+                from_choice,
+                three_way,
+                prefer_left,
+            } => {
+                let from = BranchId(*from_choice as u32 % branch_count);
+                if from == current {
+                    continue;
+                }
+                let prefer_left = *prefer_left;
+                let policy = if *three_way {
+                    MergePolicy::ThreeWay { prefer_left }
+                } else {
+                    MergePolicy::TwoWay { prefer_left }
+                };
+                let merged = store.merge(current, from, policy).unwrap();
+                // The two head commits come first, then the merge commit.
+                let into_head = CommitId(model.commits.len() as u64);
+                let lca = store
+                    .graph()
+                    .lca(into_head, CommitId(into_head.raw() + 1))
+                    .unwrap();
+                model.merge(current, from, policy, lca);
+                assert_eq!(
+                    merged.commit.index() + 1,
+                    model.commits.len(),
+                    "dense commit ids"
+                );
+            }
         }
         // Invariant: current branch scan matches the model.
         let mut got: Vec<Record> = store
@@ -125,7 +255,7 @@ fn run_history(kind: EngineKind, ops: &[Op]) {
             .collect::<decibel::Result<Vec<_>>>()
             .unwrap();
         got.sort_by_key(|r| r.key());
-        let expect: Vec<Record> = model.branches[current.index()].values().cloned().collect();
+        let expect = records(&model.branches[current.index()]);
         assert_eq!(
             got, expect,
             "{kind:?} scan of branch {current} after {op:?}"
@@ -141,6 +271,16 @@ fn run_history(kind: EngineKind, ops: &[Op]) {
             "{kind:?} checkout of commit {i}"
         );
     }
+    // And every commit reads back its rows, not just their number.
+    for (i, snapshot) in model.commits.iter().enumerate() {
+        let mut got: Vec<Record> = store
+            .scan(CommitId(i as u64).into())
+            .unwrap()
+            .collect::<decibel::Result<Vec<_>>>()
+            .unwrap();
+        got.sort_by_key(|r| r.key());
+        assert_eq!(got, records(snapshot), "{kind:?} rows of commit {i}");
+    }
     // And every branch agrees, not just the current one.
     for b in 0..branch_count {
         let branch = BranchId(b);
@@ -150,7 +290,7 @@ fn run_history(kind: EngineKind, ops: &[Op]) {
             .collect::<decibel::Result<Vec<_>>>()
             .unwrap();
         got.sort_by_key(|r| r.key());
-        let expect: Vec<Record> = model.branches[b as usize].values().cloned().collect();
+        let expect = records(&model.branches[b as usize]);
         assert_eq!(got, expect, "{kind:?} final scan of branch {branch}");
     }
 }
@@ -158,8 +298,12 @@ fn run_history(kind: EngineKind, ops: &[Op]) {
 /// Filters histories so duplicate inserts never happen (their semantics
 /// legitimately differ between VF and the indexed engines).
 fn sanitize(ops: Vec<Op>) -> Vec<Op> {
-    // Track per-branch key sets like the model would.
+    // Track per-branch key sets like the model would. A merge's outcome
+    // is not known here, so a branch that took part in one (or descends
+    // from such a branch) keeps a superset: the union of both sides, never
+    // shrunk by a delete.
     let mut branches: Vec<std::collections::BTreeSet<u64>> = vec![Default::default()];
+    let mut merged: Vec<bool> = vec![false];
     let mut current = 0usize;
     let mut out = Vec::with_capacity(ops.len());
     for op in ops {
@@ -174,7 +318,7 @@ fn sanitize(ops: Vec<Op>) -> Vec<Op> {
                 if keys.is_empty() {
                     continue;
                 }
-                if matches!(op, Op::Delete { .. }) {
+                if matches!(op, Op::Delete { .. }) && !merged[current] {
                     let key = keys[key_choice % keys.len()];
                     branches[current].remove(&key);
                 }
@@ -184,9 +328,19 @@ fn sanitize(ops: Vec<Op>) -> Vec<Op> {
                 let from = from_choice % branches.len();
                 let snapshot = branches[from].clone();
                 branches.push(snapshot);
+                merged.push(merged[from]);
                 out.push(op);
             }
             Op::Commit => out.push(op),
+            Op::Merge { from_choice, .. } => {
+                let from = from_choice % branches.len();
+                if from != current {
+                    let theirs = branches[from].clone();
+                    branches[current].extend(theirs);
+                    merged[current] = true;
+                    out.push(op);
+                }
+            }
             Op::SwitchBranch { choice } => {
                 current = choice % branches.len();
                 out.push(op);
@@ -209,13 +363,28 @@ proptest! {
         run_history(EngineKind::TupleFirstTuple, &sanitize(ops));
     }
 
+    /// Without merges: version-first realizes a merge as scan precedence
+    /// between the two parents, and a later merge of the same pair with
+    /// the other precedence re-orders what the earlier one resolved (a
+    /// delete/modify conflict kept on the destination comes back deleted),
+    /// so it does not match the planner's outcome.
     #[test]
     fn version_first_matches_model(ops in proptest::collection::vec(op_strategy(), 1..60)) {
+        let ops = ops.into_iter().filter(|op| !matches!(op, Op::Merge { .. })).collect();
         run_history(EngineKind::VersionFirst, &sanitize(ops));
     }
 
     #[test]
     fn hybrid_matches_model(ops in proptest::collection::vec(op_strategy(), 1..60)) {
         run_history(EngineKind::Hybrid, &sanitize(ops));
+    }
+
+    /// Merge-heavy histories on the engines whose merges match the model.
+    #[test]
+    fn merge_heavy_histories_match_model(ops in proptest::collection::vec(merge_heavy_strategy(), 1..100)) {
+        let ops = sanitize(ops);
+        for kind in [EngineKind::TupleFirstBranch, EngineKind::TupleFirstTuple, EngineKind::Hybrid] {
+            run_history(kind, &ops);
+        }
     }
 }

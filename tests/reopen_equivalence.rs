@@ -7,13 +7,14 @@
 //! on that rebuild: a history with forks from a branch head *and* from a
 //! historical commit, writes on both sides of every fork, and a merge; then
 //! every branch must answer `get` for every key ever written, and a full
-//! scan, exactly as before the close. It then keeps writing after the
-//! reopen, to show that indexes which share buckets again stay isolated.
+//! scan, exactly as before the close, and every commit must read the rows
+//! it read before. It then keeps writing after the reopen, to show that
+//! indexes which share buckets again stay isolated.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use decibel::common::ids::BranchId;
+use decibel::common::ids::{BranchId, CommitId};
 use decibel::common::record::Record;
 use decibel::common::schema::{ColumnType, Schema};
 use decibel::core::{Database, EngineKind, MergePolicy, Session};
@@ -66,6 +67,18 @@ fn state(db: &Arc<Database>, branches: &[BranchId], keys: &BTreeSet<u64>) -> Vec
             let mut rows = db.read(b).collect().unwrap();
             rows.sort_by_key(Record::key);
             (gets, rows)
+        })
+        .collect()
+}
+
+/// Every commit's rows, by commit id.
+fn commit_rows(db: &Arc<Database>) -> Vec<Vec<Record>> {
+    let n = db.with_store(|store| store.graph().num_commits());
+    (0..n)
+        .map(|c| {
+            let mut rows = db.read(CommitId(c)).collect().unwrap();
+            rows.sort_by_key(Record::key);
+            rows
         })
         .collect()
 }
@@ -185,6 +198,7 @@ fn every_engine_reopens_to_the_state_it_closed_in() {
         .unwrap();
         let (branches, keys) = build(&db);
         let before = state(&db, &branches, &keys);
+        let history = commit_rows(&db);
         db.flush().unwrap();
         drop(db);
 
@@ -196,6 +210,14 @@ fn every_engine_reopens_to_the_state_it_closed_in() {
         );
         let after = state(&db, &branches, &keys);
         assert_same(&before, &after, &keys, &format!("{kind:?} after reopen"));
+        for (c, (want, got)) in history.iter().zip(commit_rows(&db)).enumerate() {
+            assert!(
+                *want == got,
+                "{kind:?}: commit {c} reads {} rows after reopen, {} before",
+                got.len(),
+                want.len()
+            );
+        }
 
         // One write per branch after the reopen lands on that branch only.
         let mut session = db.session();
