@@ -32,8 +32,11 @@ impl Eq for Bitmap {}
 
 impl Bitmap {
     /// Creates an empty bitmap.
-    pub fn new() -> Self {
-        Bitmap::default()
+    pub const fn new() -> Self {
+        Bitmap {
+            words: Vec::new(),
+            len: 0,
+        }
     }
 
     /// Creates a bitmap of `len` zero bits.

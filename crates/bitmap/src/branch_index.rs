@@ -10,6 +10,8 @@
 //! register the branches that inherit records in that segment), so columns
 //! live in a hash map rather than a dense vector.
 
+use std::borrow::Cow;
+
 use decibel_common::hash::FxHashMap;
 use decibel_common::ids::BranchId;
 
@@ -29,20 +31,10 @@ impl BranchBitmapIndex {
         BranchBitmapIndex::default()
     }
 
-    /// Iterates the registered branches in arbitrary order.
-    pub fn branches(&self) -> impl Iterator<Item = BranchId> + '_ {
-        self.columns.keys().copied()
-    }
-
     /// Removes a branch's column entirely (hybrid drops a branch's bitmap
     /// from segments it no longer touches).
     pub fn remove_branch(&mut self, b: BranchId) {
         self.columns.remove(&b);
-    }
-
-    /// Direct access to a column.
-    pub fn column(&self, b: BranchId) -> Option<&Bitmap> {
-        self.columns.get(&b)
     }
 }
 
@@ -99,8 +91,15 @@ impl VersionIndex for BranchBitmapIndex {
         col
     }
 
-    fn branch_ref(&self, b: BranchId) -> Option<&Bitmap> {
-        self.columns.get(&b)
+    fn column(&self, b: BranchId) -> Cow<'_, Bitmap> {
+        static EMPTY: Bitmap = Bitmap::new();
+        Cow::Borrowed(self.columns.get(&b).unwrap_or(&EMPTY))
+    }
+
+    fn branches(&self) -> Vec<BranchId> {
+        let mut out: Vec<BranchId> = self.columns.keys().copied().collect();
+        out.sort_unstable();
+        out
     }
 
     fn restore_branch(&mut self, b: BranchId, bm: &Bitmap) {
@@ -124,8 +123,8 @@ mod tests {
         idx.ensure_rows(1_000_000);
         idx.set(BranchId(0), 999_999, true);
         // Branch 1's column never grew: footprint stays tiny.
-        let col0 = idx.column(BranchId(0)).unwrap().byte_size();
-        let col1 = idx.column(BranchId(1)).unwrap().byte_size();
+        let col0 = idx.column(BranchId(0)).byte_size();
+        let col1 = idx.column(BranchId(1)).byte_size();
         assert!(col0 > 100_000);
         assert!(col1 < 100, "untouched column is {col1} bytes");
     }

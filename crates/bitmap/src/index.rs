@@ -1,15 +1,17 @@
 //! The version-index abstraction shared by both bitmap orientations.
 
+use std::borrow::Cow;
+
 use decibel_common::ids::BranchId;
 
 use crate::bitmap::Bitmap;
 
 /// A bitmap index mapping (branch, record row) → liveness.
 ///
-/// The tuple-first engine is generic over this trait so the paper's two
+/// The segmented engine is generic over this trait so the paper's two
 /// physical orientations (§3.1) — branch-oriented and tuple-oriented — can
-/// be compared without forking engine code. Hybrid reuses the
-/// branch-oriented implementation for its per-segment local indexes.
+/// be compared without forking engine code: tuple-first runs on either,
+/// hybrid on the branch-oriented one for its per-segment local indexes.
 pub trait VersionIndex: Send + Sync {
     /// Number of record rows tracked (rows are dense `0..num_rows`).
     fn num_rows(&self) -> u64;
@@ -42,15 +44,24 @@ pub trait VersionIndex: Send + Sync {
     /// scanned", §3.2).
     fn branch_bitmap(&self, b: BranchId) -> Bitmap;
 
-    /// Zero-copy access to branch `b`'s column when the orientation stores
-    /// one (branch-oriented only).
-    fn branch_ref(&self, b: BranchId) -> Option<&Bitmap> {
-        let _ = b;
-        None
+    /// Branch `b`'s liveness column, not padded to `num_rows`, empty for
+    /// an unregistered branch: always borrowed (zero-copy) where the
+    /// orientation stores columns (branch-oriented), materialized where it
+    /// does not (tuple-oriented).
+    fn column(&self, b: BranchId) -> Cow<'_, Bitmap>;
+
+    /// Whether branch `b` has a live row.
+    fn any_live(&self, b: BranchId) -> bool {
+        self.column(b).next_one(0).is_some()
     }
 
-    /// Overwrites branch `b`'s column (used when checking out a historical
-    /// commit snapshot into a session).
+    /// The registered branches, in id order.
+    fn branches(&self) -> Vec<BranchId>;
+
+    /// Overwrites branch `b`'s column with `bm`, registering `b` first if
+    /// needed (a reopen restores columns from a checkpoint, a fork from a
+    /// historical commit restores that commit's). `bm` holds no row past
+    /// `num_rows`.
     fn restore_branch(&mut self, b: BranchId, bm: &Bitmap);
 
     /// Approximate in-memory footprint in bytes.
@@ -61,10 +72,7 @@ pub trait VersionIndex: Send + Sync {
 pub fn union_of(index: &dyn VersionIndex, branches: &[BranchId]) -> Bitmap {
     let mut acc = Bitmap::zeros(index.num_rows());
     for &b in branches {
-        match index.branch_ref(b) {
-            Some(col) => acc = acc.or(col),
-            None => acc = acc.or(&index.branch_bitmap(b)),
-        }
+        acc.or_assign(&index.column(b));
     }
     acc
 }
@@ -107,12 +115,33 @@ mod tests {
         assert_eq!(col_a.iter_ones().collect::<Vec<_>>(), vec![7]);
         assert_eq!(col_b.iter_ones().collect::<Vec<_>>(), vec![0, 7, 10]);
 
+        // A column reads the same borrowed or materialized, and an
+        // unregistered branch's is empty.
+        assert_eq!(
+            index.column(b).iter_ones().collect::<Vec<_>>(),
+            vec![0, 7, 10]
+        );
+        assert_eq!(index.column(BranchId(9)).count_ones(), 0);
+        assert_eq!(index.branches(), vec![a, b]);
+        assert!(index.any_live(a));
+        assert!(!index.any_live(BranchId(9)));
+
         // Restore rolls a column back to a snapshot.
         index.restore_branch(a, &col_b);
         assert!(index.get(a, 10));
 
+        // Restore registers an unknown branch, so a reopen can rebuild an
+        // index from its columns alone.
+        let c = BranchId(5);
+        index.restore_branch(c, &col_a);
+        assert!(index.has_branch(c));
+        assert_eq!(index.column(c).iter_ones().collect::<Vec<_>>(), vec![7]);
+        assert_eq!(index.branches(), vec![a, b, c]);
+        index.restore_branch(c, &Bitmap::new());
+        assert!(index.has_branch(c) && !index.any_live(c));
+
         assert!(index.byte_size() > 0);
-        assert_eq!(index.num_branches(), 2);
+        assert_eq!(index.num_branches(), 3);
         assert!(index.num_rows() >= 11);
     }
 

@@ -12,10 +12,11 @@
 //!   tuple, all rows in a single block, doubled when the branch count
 //!   overflows the row width.
 //!
-//! Both implement [`index::VersionIndex`], so the tuple-first engine is
-//! generic over orientation and the paper's orientation trade-off (§5:
-//! "resolving which tuples are live in a branch is much faster with a
-//! branch-oriented bitmap") is an ablation, not a fork of the code.
+//! Both implement [`index::VersionIndex`], so the segmented engine behind
+//! tuple-first and hybrid is generic over orientation and the paper's
+//! orientation trade-off (§5: "resolving which tuples are live in a branch
+//! is much faster with a branch-oriented bitmap") is an ablation, not a
+//! fork of the code.
 //!
 //! Commit snapshots are persisted by [`commit_store::CommitStore`] using the
 //! paper's scheme (§3.2): XOR deltas between consecutive commit bitmaps,

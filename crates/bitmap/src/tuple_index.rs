@@ -9,6 +9,8 @@
 //! entire bitmap may need to be expanded (and copied) ... via simple growth
 //! doubling, amortizing the branching cost" (§3.2).
 
+use std::borrow::Cow;
+
 use decibel_common::hash::FxHashMap;
 use decibel_common::ids::BranchId;
 
@@ -145,8 +147,29 @@ impl VersionIndex for TupleBitmapIndex {
         out
     }
 
+    fn column(&self, b: BranchId) -> Cow<'_, Bitmap> {
+        Cow::Owned(self.branch_bitmap(b))
+    }
+
+    fn any_live(&self, b: BranchId) -> bool {
+        // Stops at the first live row instead of materializing the column.
+        self.slot(b).is_some_and(|slot| {
+            (0..self.rows as usize)
+                .any(|row| self.data[row * self.stride + slot / 64] >> (slot % 64) & 1 == 1)
+        })
+    }
+
+    fn branches(&self) -> Vec<BranchId> {
+        let mut out: Vec<BranchId> = self.slots.keys().copied().collect();
+        out.sort_unstable();
+        out
+    }
+
     fn restore_branch(&mut self, b: BranchId, bm: &Bitmap) {
-        let slot = self.slot(b).expect("restore on unregistered branch");
+        if !self.has_branch(b) {
+            self.add_branch(b, None);
+        }
+        let slot = self.slot(b).expect("registered above");
         let word_off = slot / 64;
         let mask = 1u64 << (slot % 64);
         for row in 0..self.rows {

@@ -369,17 +369,6 @@ impl FaultEnv {
     pub fn flip_bit_in_read(&self, n: u64, bit: u64) {
         self.state().flip_read = Some((n, bit));
     }
-
-    /// Clears all armed faults (counters keep running).
-    pub fn disarm(&self) {
-        let mut s = self.state();
-        s.crash_at = None;
-        s.torn_crash = false;
-        s.crashed = false;
-        s.fail_fsync_at = None;
-        s.enospc_after_writes = None;
-        s.flip_read = None;
-    }
 }
 
 struct FaultFile {

@@ -92,9 +92,7 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::checkpoint;
 use crate::cursor::{MultiScanCursor, ScanCursor};
-use crate::engine::{
-    HybridEngine, TupleFirstBranchEngine, TupleFirstTupleEngine, VersionFirstEngine,
-};
+use crate::engine::{HybridEngine, TupleFirstTupleEngine, VersionFirstEngine};
 use crate::journal;
 use crate::query::build::{BranchSel, MultiReadBuilder, ReadBuilder};
 use crate::query::plan::ScanPlan;
@@ -377,15 +375,16 @@ impl Database {
         config: &StoreConfig,
     ) -> Result<Box<dyn VersionedStore>> {
         let dir = dir.as_ref();
+        // Tuple-first and hybrid are one segmented engine: the kind picks
+        // its bitmap orientation and whether forks split segments.
         Ok(match kind {
-            EngineKind::TupleFirstBranch => {
-                Box::new(TupleFirstBranchEngine::init(dir, schema, config)?)
-            }
-            EngineKind::TupleFirstTuple => {
-                Box::new(TupleFirstTupleEngine::init(dir, schema, config)?)
-            }
             EngineKind::VersionFirst => Box::new(VersionFirstEngine::init(dir, schema, config)?),
-            EngineKind::Hybrid => Box::new(HybridEngine::init(dir, schema, config)?),
+            EngineKind::TupleFirstTuple => {
+                Box::new(TupleFirstTupleEngine::init(kind, dir, schema, config)?)
+            }
+            EngineKind::TupleFirstBranch | EngineKind::Hybrid => {
+                Box::new(HybridEngine::init(kind, dir, schema, config)?)
+            }
         })
     }
 
@@ -402,16 +401,15 @@ impl Database {
     ) -> Result<Box<dyn VersionedStore>> {
         let dir = dir.as_ref();
         Ok(match kind {
-            EngineKind::TupleFirstBranch => Box::new(TupleFirstBranchEngine::open_from(
-                dir, schema, config, snapshot,
-            )?),
-            EngineKind::TupleFirstTuple => Box::new(TupleFirstTupleEngine::open_from(
-                dir, schema, config, snapshot,
-            )?),
             EngineKind::VersionFirst => Box::new(VersionFirstEngine::open_from(
                 dir, schema, config, snapshot,
             )?),
-            EngineKind::Hybrid => Box::new(HybridEngine::open_from(dir, schema, config, snapshot)?),
+            EngineKind::TupleFirstTuple => Box::new(TupleFirstTupleEngine::open_from(
+                kind, dir, schema, config, snapshot,
+            )?),
+            EngineKind::TupleFirstBranch | EngineKind::Hybrid => Box::new(HybridEngine::open_from(
+                kind, dir, schema, config, snapshot,
+            )?),
         })
     }
 
@@ -1104,32 +1102,51 @@ mod tests {
                 .unwrap()
         });
         database.flush().unwrap();
-        assert!(database.dir().join("data").join("graph.dvg").exists());
+        assert!(database.dir().join("CHECKPOINT").exists());
+    }
+
+    /// Every file under `dir`, with its size, in path order.
+    fn listing(dir: &Path) -> Vec<(PathBuf, u64)> {
+        let mut out = Vec::new();
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let entry = entry.unwrap();
+            let meta = entry.metadata().unwrap();
+            if meta.is_dir() {
+                out.extend(listing(&entry.path()));
+            } else {
+                out.push((entry.path(), meta.len()));
+            }
+        }
+        out.sort();
+        out
     }
 
     #[test]
-    fn open_writes_graph_only_through_its_disk_env() {
+    fn open_writes_only_through_its_disk_env() {
         use decibel_common::env::FaultEnv;
         for kind in EngineKind::all() {
             let (_d, database) = db(kind);
             let mut s = database.session();
             s.insert(Record::new(1, vec![1, 1])).unwrap();
             s.commit().unwrap();
-            drop(s);
             database.flush().unwrap();
+            // A journaled suffix past the checkpoint, for the open to replay.
+            s.insert(Record::new(2, vec![2, 2])).unwrap();
+            s.commit().unwrap();
+            drop(s);
             let dir = database.dir().to_path_buf();
             drop(database);
-            let graph = dir.join(DATA_DIR).join("graph.dvg");
-            std::fs::remove_file(&graph).unwrap();
+            let before = listing(&dir);
             // Every mutating op of a crashed environment fails, so the
             // open may fail — but it must not write past its environment.
             let env = FaultEnv::new();
             env.crash_after(0, false);
             let config = StoreConfig::test_default().with_env(Arc::new(env));
             let _ = Database::open(&dir, &config);
-            assert!(
-                !graph.exists(),
-                "{kind:?}: graph.dvg written past the DiskEnv"
+            assert_eq!(
+                listing(&dir),
+                before,
+                "{kind:?}: the open wrote past its DiskEnv"
             );
         }
     }
@@ -1211,6 +1228,8 @@ mod tests {
 
     #[test]
     fn create_resets_stale_engine_data() {
+        // Master's commit store: written by its first change, not by init.
+        const STORE: &str = "commits_s0_b0.dcl";
         let dir = tempfile::tempdir().unwrap();
         let path = dir.path().join("db");
         let config = StoreConfig::test_default();
@@ -1222,12 +1241,12 @@ mod tests {
             s.commit().unwrap();
             drop(s);
             db.flush().unwrap();
-            assert!(path.join(DATA_DIR).join("graph.dvg").exists());
+            assert!(path.join(DATA_DIR).join(STORE).exists());
         }
         // Re-creating over the same directory starts from a clean slate:
         // no stale engine files, no rows.
         let db = Database::create(&path, EngineKind::Hybrid, schema, &config).unwrap();
-        assert!(!path.join(DATA_DIR).join("graph.dvg").exists());
+        assert!(!path.join(DATA_DIR).join(STORE).exists());
         assert_eq!(
             db.with_store(|s| s.live_count(VersionRef::Branch(BranchId::MASTER)).unwrap()),
             0

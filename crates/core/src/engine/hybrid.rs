@@ -1,4 +1,5 @@
-//! The hybrid storage engine (§3.4).
+//! The segmented storage engine: hybrid (§3.4), and tuple-first (§3.2) as
+//! its one-segment configuration.
 //!
 //! "Hybrid combines the two storage models ... It operates by managing a
 //! collection of segments, each consisting of a single heap file (as in
@@ -19,6 +20,28 @@
 //! more in hand-off and wake-up (0.59–0.70 ms per merge on two vCPUs) than
 //! the decodes themselves, and `decibel-bench table3`'s hybrid three-way
 //! merge throughput was no lower inline.
+//!
+//! # One engine, two split policies
+//!
+//! A segment is "a single heap file (as in version-first) accompanied by
+//! a bitmap-based segment index (as in tuple-first)" (§3.4), so a
+//! tuple-first store is a segmented store whose one segment is never
+//! split. The [`EngineKind`] picks the policy:
+//!
+//! - *Hybrid* splits at every fork: "the branch operation creates two new
+//!   head segments" and the parent's old head "becomes an internal
+//!   segment" (§3.4), frozen for data from then on.
+//! - *Tuple-first* never splits. Every branch's head is segment 0, also
+//!   after a fork from a historical commit, so all branches share the
+//!   paper's "single shared heap file" (§3.2), and each branch has at most
+//!   one commit store, the (segment 0, branch) one. Tuple-first runs over
+//!   either bitmap orientation ([`IndexOrientation`]); hybrid uses the
+//!   branch-oriented one.
+//!
+//! Everything else — commits, forks, merges, checkpoints, reopens — is one
+//! code path. So tuple-first gets what the next section describes:
+//! dirty-column commits, a commit store created at a column's first
+//! change, and forks that inherit only columns with live rows.
 //!
 //! # Commit histories: only what changed
 //!
@@ -66,8 +89,11 @@
 //! `&mut self` (branch/merge/checkpoint), for which the database holds its
 //! store lock exclusively. Lock order within the engine is pk → segment
 //! index → branch dirty marks → segment stores → graph → commit map; the
-//! heap tail latch is a leaf.
+//! heap tail latch is a leaf. Tuple-first's branches all meet at segment
+//! 0's index and stores locks, as hybrid's meet at a shared internal
+//! segment.
 
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -88,6 +114,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::checkpoint;
 use crate::engine::pk::{self, HeapRows, PkIndex};
 use crate::engine::scan::{decode_rows, BranchColumnScan, Seg, SegmentedScan};
+use crate::engine::tuple_first::IndexOrientation;
 use crate::merge::{plan_merge, ChangeSet, MergeAction};
 use crate::query::plan::ScanPlan;
 use crate::shard::PreparedCommit;
@@ -97,16 +124,17 @@ use crate::types::{
     VersionRef,
 };
 
-/// One hybrid segment: heap file + local bitmap index + per-branch commit
+/// One segment: heap file + local bitmap index + per-branch commit
 /// history stores.
-struct HySegment {
+struct HySegment<I> {
     heap: HeapFile,
     /// Local bitmap index: only "the set of branches which inherit records
     /// contained in that segment" have columns here (§3.4). Writers on
     /// different branches touch different columns but share the lock.
-    index: RwLock<BranchBitmapIndex>,
+    index: RwLock<I>,
     /// Head segments accept appends; internal segments are frozen.
-    /// Mutated only under `&mut self` (branch operations).
+    /// Mutated only under `&mut self` (branch operations); never set by
+    /// tuple-first.
     frozen: bool,
     /// Per-branch commit stores ("in hybrid, each (branch, segment) has its
     /// own file", §5.3), each with `first`: the branch-commit ordinal of the
@@ -117,12 +145,18 @@ struct HySegment {
     stores: RwLock<FxHashMap<BranchId, (CommitStore, u64)>>,
 }
 
-/// The hybrid engine.
-pub struct HybridEngine {
+/// Hybrid: the segmented engine over branch-oriented local indexes.
+pub type HybridEngine = SegmentedEngine<BranchBitmapIndex>;
+
+/// The segmented engine: hybrid or tuple-first, by its [`EngineKind`]
+/// (see the module docs).
+pub struct SegmentedEngine<I: IndexOrientation> {
+    /// Hybrid, or the tuple-first kind of `I`: whether a fork splits.
+    kind: EngineKind,
     dir: PathBuf,
     schema: Schema,
     pool: Arc<BufferPool>,
-    segments: Vec<HySegment>,
+    segments: Vec<HySegment<I>>,
     /// The global branch-segment bitmap: row = branch, bit = segment id.
     branch_seg: RwLock<BranchBitmapIndex>,
     /// Per-branch head segment. Mutated only under `&mut self`.
@@ -155,9 +189,17 @@ fn store_path(dir: &Path, seg: SegmentId, b: BranchId) -> PathBuf {
     dir.join(format!("commits_s{}_b{}.dcl", seg.raw(), b.raw()))
 }
 
-impl HybridEngine {
-    /// Initializes a fresh store in `dir` with an empty `master` branch.
-    pub fn init(dir: impl AsRef<Path>, schema: Schema, config: &StoreConfig) -> Result<Self> {
+impl<I: IndexOrientation> SegmentedEngine<I> {
+    /// Initializes a fresh store of `kind` (hybrid, or `I`'s tuple-first
+    /// kind) in `dir`: the paper's `init` transaction (§2.2.3), a `master`
+    /// branch holding an empty relation.
+    pub fn init(
+        kind: EngineKind,
+        dir: impl AsRef<Path>,
+        schema: Schema,
+        config: &StoreConfig,
+    ) -> Result<Self> {
+        debug_assert!(kind == EngineKind::Hybrid || kind == I::KIND);
         let dir = dir.as_ref().to_path_buf();
         config
             .env
@@ -165,7 +207,8 @@ impl HybridEngine {
             .map_err(|e| DbError::io("creating engine directory", e))?;
         let pool = Arc::new(BufferPool::for_store(config));
         let pk_cow_entries = pk::cow_entries_counter(&config.metrics);
-        let mut engine = HybridEngine {
+        let mut engine = SegmentedEngine {
+            kind,
             dir,
             schema,
             pool,
@@ -185,12 +228,7 @@ impl HybridEngine {
             .get_mut()
             .add_branch(BranchId::MASTER, None);
         let seg = engine.new_segment()?;
-        engine.head.push(seg);
-        engine.mark_branch_segment(BranchId::MASTER, seg);
-        engine.segments[seg.index()]
-            .index
-            .get_mut()
-            .add_branch(BranchId::MASTER, None);
+        engine.set_head(BranchId::MASTER, seg);
         let init = engine.snapshot_commit(BranchId::MASTER)?;
         engine
             .commit_map
@@ -207,22 +245,25 @@ impl HybridEngine {
     /// indexes are derived state and are rebuilt from the bitmap columns;
     /// the journal is not consulted.
     pub fn open_from(
+        kind: EngineKind,
         dir: impl AsRef<Path>,
         schema: Schema,
         config: &StoreConfig,
         payload: &[u8],
     ) -> Result<Self> {
+        debug_assert!(kind == EngineKind::Hybrid || kind == I::KIND);
         let dir = dir.as_ref().to_path_buf();
         let pool = Arc::new(BufferPool::for_store(config));
-        let corrupt = |what: &str| DbError::corrupt(format!("hybrid checkpoint: {what}"));
+        let corrupt = |what: &str| DbError::corrupt(format!("segmented checkpoint: {what}"));
         let mut pos = 0usize;
         let graph = VersionGraph::from_bytes(checkpoint::read_slice(payload, &mut pos)?)?;
         let n_branches = graph.num_branches();
         let n_segments = varint::read_u64(payload, &mut pos)? as usize;
         // Pass 1: segments (heaps at coverage, local bitmap columns, the
-        // commit-store coordinates to open below).
-        let mut segments = Vec::with_capacity(n_segments);
-        let mut store_specs: Vec<Vec<(BranchId, u64, u64, u32)>> = Vec::with_capacity(n_segments);
+        // commit-store coordinates to open below). The count is not trusted
+        // for an allocation: it is only checked by opening each heap.
+        let mut segments = Vec::new();
+        let mut store_specs: Vec<Vec<(BranchId, u64, u64, u32)>> = Vec::new();
         for s in 0..n_segments {
             let heap_len = varint::read_u64(payload, &mut pos)?;
             let heap = HeapFile::open_at(
@@ -233,14 +274,14 @@ impl HybridEngine {
             )?;
             let frozen = *payload.get(pos).ok_or_else(|| corrupt("truncated flags"))? != 0;
             pos += 1;
-            let mut index = BranchBitmapIndex::new();
+            let mut index = I::default();
+            index.ensure_rows(heap_len);
             let n_cols = varint::read_u64(payload, &mut pos)? as usize;
             for _ in 0..n_cols {
                 let b = BranchId(varint::read_u64(payload, &mut pos)? as u32);
                 let bm = checkpoint::read_bitmap(payload, &mut pos)?;
                 index.restore_branch(b, &bm);
             }
-            index.ensure_rows(heap_len);
             let n_stores = varint::read_u64(payload, &mut pos)? as usize;
             let mut specs = Vec::with_capacity(n_stores);
             for _ in 0..n_stores {
@@ -329,7 +370,8 @@ impl HybridEngine {
         }
         let pk_cow_entries = pk::cow_entries_counter(&config.metrics);
         let pk = Self::rebuild_pk(&graph, &segments, &branch_seg, &pk_cow_entries)?;
-        Ok(HybridEngine {
+        Ok(SegmentedEngine {
+            kind,
             dir,
             schema,
             pool,
@@ -346,7 +388,7 @@ impl HybridEngine {
         })
     }
 
-    /// Pass 4 of [`HybridEngine::open_from`]: rebuilds the per-branch
+    /// Pass 4 of [`SegmentedEngine::open_from`]: rebuilds the per-branch
     /// primary-key indexes from the bitmap columns (one live copy per key
     /// per branch by invariant), in id order, so the branch a fork's commit
     /// was made on is there for the fork to start from (see
@@ -354,12 +396,17 @@ impl HybridEngine {
     /// differs everywhere.
     fn rebuild_pk(
         graph: &VersionGraph,
-        segments: &[HySegment],
+        segments: &[HySegment<I>],
         branch_seg: &BranchBitmapIndex,
         cow_entries: &Counter,
     ) -> Result<Vec<PkIndex<(SegmentId, RecordIdx)>>> {
-        let corrupt = |what: &str| DbError::corrupt(format!("hybrid checkpoint: {what}"));
-        let empty = Bitmap::new();
+        let corrupt = |what: &str| DbError::corrupt(format!("segmented checkpoint: {what}"));
+        let indexes: Vec<_> = segments.iter().map(|seg| seg.index.read()).collect();
+        // Per branch, by segment id, the columns that had to be
+        // materialized (the tuple orientation's), kept as its forks' bases
+        // so each is built once. Borrowed ones cost nothing to look up
+        // again and are not kept.
+        let mut kept_columns: Vec<Vec<(u32, Cow<'_, Bitmap>)>> = Vec::new();
         let mut pk: Vec<PkIndex<(SegmentId, RecordIdx)>> = Vec::new();
         for b in 0..graph.num_branches() {
             let bid = BranchId(b as u32);
@@ -369,25 +416,42 @@ impl HybridEngine {
             if let Some(p) = parent {
                 seg_bits.or_assign(&branch_seg.branch_bitmap(p));
             }
-            let mut indexes = Vec::new();
+            let mut own = Vec::new();
             for s in seg_bits.iter_ones() {
-                let seg = segments
+                let index = indexes
                     .get(s as usize)
                     .ok_or_else(|| corrupt("branch-segment bit names unknown segment"))?;
-                indexes.push((s as u32, seg, seg.index.read()));
+                own.push((s as u32, index.column(bid)));
             }
-            let parts: Vec<_> = indexes
+            let bases: Vec<Cow<'_, Bitmap>> = own
                 .iter()
-                .map(|(s, seg, index)| HeapRows {
-                    heap: &seg.heap,
-                    own: index.branch_ref(bid).unwrap_or(&empty),
-                    base: parent.and_then(|p| index.branch_ref(p)).unwrap_or(&empty),
+                .map(|&(s, _)| match parent {
+                    None => Cow::default(),
+                    Some(p) => {
+                        let kept = &kept_columns[p.index()];
+                        match kept.binary_search_by_key(&s, |&(ps, _)| ps) {
+                            Ok(i) => Cow::Borrowed(&*kept[i].1),
+                            Err(_) => indexes[s as usize].column(p),
+                        }
+                    }
+                })
+                .collect();
+            let parts: Vec<_> = own
+                .iter()
+                .zip(&bases)
+                .map(|((s, own), base)| HeapRows {
+                    heap: &segments[*s as usize].heap,
+                    own,
+                    base,
                     loc: |row| (SegmentId(*s), row),
                 })
                 .collect();
             let parent = parent.map(|p| &pk[p.index()]);
             let keys = PkIndex::rebuilt(parent, &parts, cow_entries)?;
             pk.push(keys);
+            own.retain(|(_, col)| matches!(col, Cow::Owned(_)));
+            own.shrink_to_fit();
+            kept_columns.push(own);
         }
         Ok(pk)
     }
@@ -401,7 +465,7 @@ impl HybridEngine {
         )?;
         self.segments.push(HySegment {
             heap,
-            index: RwLock::new(BranchBitmapIndex::new()),
+            index: RwLock::new(I::default()),
             frozen: false,
             stores: RwLock::new(FxHashMap::default()),
         });
@@ -409,6 +473,27 @@ impl HybridEngine {
             .get_mut()
             .ensure_rows(self.segments.len() as u64);
         Ok(id)
+    }
+
+    /// Whether a fork splits: hybrid's policy, never tuple-first's.
+    fn splits(&self) -> bool {
+        self.kind == EngineKind::Hybrid
+    }
+
+    /// Makes `seg` the head segment of `branch` (pushing it for a new
+    /// branch): the branch gets a bit for it in the branch-segment bitmap
+    /// and, if it has none there yet, an empty column.
+    fn set_head(&mut self, branch: BranchId, seg: SegmentId) {
+        if branch.index() == self.head.len() {
+            self.head.push(seg);
+        } else {
+            self.head[branch.index()] = seg;
+        }
+        self.mark_branch_segment(branch, seg);
+        let index = self.segments[seg.index()].index.get_mut();
+        if !index.has_branch(branch) {
+            index.add_branch(branch, None);
+        }
     }
 
     fn mark_branch_segment(&self, branch: BranchId, seg: SegmentId) {
@@ -420,10 +505,8 @@ impl HybridEngine {
     /// Segment ids containing records of `branch`, from the global bitmap.
     fn segments_of(&self, branch: BranchId) -> Vec<SegmentId> {
         let branch_seg = self.branch_seg.read();
-        let bits = branch_seg.branch_ref(branch).into_iter();
-        bits.flat_map(Bitmap::iter_ones)
-            .map(|s| SegmentId(s as u32))
-            .collect()
+        let bits = branch_seg.column(branch);
+        bits.iter_ones().map(|s| SegmentId(s as u32)).collect()
     }
 
     /// Appends one snapshot to every commit store of `branch` and returns
@@ -512,7 +595,7 @@ impl HybridEngine {
     /// Sets `branch`'s live bit for `row` of segment `seg_id`, giving the
     /// branch a column there if it has none. The column's first change
     /// since the branch was created first creates its commit store, under
-    /// the same index write lock (see [`HybridEngine::version_bitmaps`]);
+    /// the same index write lock (see [`SegmentedEngine::version_bitmaps`]);
     /// every change sets the dirty mark.
     fn set_live(&self, branch: BranchId, seg_id: SegmentId, row: RecordIdx, live: bool) {
         let seg = &self.segments[seg_id.index()];
@@ -528,10 +611,10 @@ impl HybridEngine {
                 // of them had a row if it is empty, all of them had it as
                 // it is if not (an inherited or restored column).
                 let commits = self.branch_commits[branch.index()].load(Ordering::Acquire);
-                let inherited = index.branch_ref(branch).and_then(|c| c.next_one(0));
-                let (seed, first) = match inherited {
-                    Some(_) => (index.branch_bitmap(branch), 0),
-                    None => (Bitmap::new(), commits),
+                let (seed, first) = if index.any_live(branch) {
+                    (index.branch_bitmap(branch), 0)
+                } else {
+                    (Bitmap::new(), commits)
                 };
                 let store = CommitStore::seeded_in(
                     Arc::clone(self.pool.env()),
@@ -665,9 +748,9 @@ impl HybridEngine {
     }
 }
 
-impl VersionedStore for HybridEngine {
+impl<I: IndexOrientation> VersionedStore for SegmentedEngine<I> {
     fn kind(&self) -> EngineKind {
-        EngineKind::Hybrid
+        self.kind
     }
 
     fn schema(&self) -> &Schema {
@@ -698,20 +781,25 @@ impl VersionedStore for HybridEngine {
                 // "The branch operation creates two new head segments ...
                 // The old head of the parent becomes an internal segment
                 // that contains records in both branches (note that its
-                // bitmap is expanded)" (§3.4).
+                // bitmap is expanded)" (§3.4). Tuple-first keeps writing
+                // its one segment.
                 let old_head = self.head[p.index()];
-                self.segments[old_head.index()].frozen = true;
+                if self.splits() {
+                    self.segments[old_head.index()].frozen = true;
+                }
                 // Child inherits the parent's liveness in every ancestral
                 // segment where the parent has a live row — "a bitmap scan
                 // ... only for those records in the direct ancestry instead
                 // of on the entire bitmap". Its branch-segment row is
                 // exactly those segments, "the segments that contain at
-                // least one record alive in the branch".
+                // least one record alive in the branch". (Tuple-first: "a
+                // branch operation clones the state of the parent branch's
+                // bitmap", §3.2.)
                 let branch_seg = self.branch_seg.get_mut();
                 branch_seg.add_branch(new_b, None);
                 for s in branch_seg.branch_bitmap(p).iter_ones() {
                     let index = self.segments[s as usize].index.get_mut();
-                    if index.branch_ref(p).and_then(|c| c.next_one(0)).is_some() {
+                    if index.any_live(p) {
                         index.add_branch(new_b, Some(p));
                         branch_seg.set(new_b, s, true);
                     }
@@ -719,21 +807,14 @@ impl VersionedStore for HybridEngine {
                 // The key index is shared, not copied: see [`PkIndex`].
                 let inherited = self.pk[p.index()].get_mut().clone();
                 self.pk.push(RwLock::new(inherited));
-                // Two fresh head segments.
-                let p_head = self.new_segment()?;
-                self.head[p.index()] = p_head;
-                self.mark_branch_segment(p, p_head);
-                self.segments[p_head.index()]
-                    .index
-                    .get_mut()
-                    .add_branch(p, None);
-                let c_head = self.new_segment()?;
-                self.head.push(c_head);
-                self.mark_branch_segment(new_b, c_head);
-                self.segments[c_head.index()]
-                    .index
-                    .get_mut()
-                    .add_branch(new_b, None);
+                if self.splits() {
+                    let p_head = self.new_segment()?;
+                    self.set_head(p, p_head);
+                    let c_head = self.new_segment()?;
+                    self.set_head(new_b, c_head);
+                } else {
+                    self.set_head(new_b, old_head);
+                }
             }
             None => {
                 // Fork from a historical commit: restore its per-segment
@@ -750,7 +831,6 @@ impl VersionedStore for HybridEngine {
                         let seg = &mut self.segments[seg_id.index()];
                         let heap_len = seg.heap.len();
                         let index = seg.index.get_mut();
-                        index.add_branch(new_b, None);
                         index.ensure_rows(heap_len);
                         index.restore_branch(new_b, &bm);
                     }
@@ -759,13 +839,13 @@ impl VersionedStore for HybridEngine {
                     keys.insert_rows(heap, &bm, |row| (seg_id, row))?;
                 }
                 self.pk.push(RwLock::new(keys));
-                let c_head = self.new_segment()?;
-                self.head.push(c_head);
-                self.mark_branch_segment(new_b, c_head);
-                self.segments[c_head.index()]
-                    .index
-                    .get_mut()
-                    .add_branch(new_b, None);
+                // A fresh head, or tuple-first's one segment.
+                let c_head = if self.splits() {
+                    self.new_segment()?
+                } else {
+                    SegmentId(0)
+                };
+                self.set_head(new_b, c_head);
             }
         }
         Ok(new_b)
@@ -1030,9 +1110,7 @@ impl VersionedStore for HybridEngine {
         for seg in &self.segments {
             seg.heap.flush()?;
         }
-        self.graph
-            .get_mut()
-            .save_in(self.pool.env().as_ref(), self.dir.join("graph.dvg"), false)
+        Ok(())
     }
 
     fn checkpoint(&mut self) -> Result<Vec<u8>> {
@@ -1048,11 +1126,6 @@ impl VersionedStore for HybridEngine {
                 }
             }
         }
-        self.graph.get_mut().save_in(
-            self.pool.env().as_ref(),
-            self.dir.join("graph.dvg"),
-            self.fsync,
-        )?;
         let mut out = Vec::new();
         checkpoint::write_slice(&mut out, &self.graph.get_mut().to_bytes());
         varint::write_u64(&mut out, self.segments.len() as u64);
@@ -1060,10 +1133,9 @@ impl VersionedStore for HybridEngine {
             varint::write_u64(&mut out, seg.heap.len());
             out.push(seg.frozen as u8);
             // Local bitmap columns, branch-sorted for a deterministic
-            // snapshot (the column maps iterate in arbitrary order).
+            // snapshot.
             let index = seg.index.read();
-            let mut cols: Vec<BranchId> = index.branches().collect();
-            cols.sort_unstable();
+            let cols = index.branches();
             varint::write_u64(&mut out, cols.len() as u64);
             for b in cols {
                 varint::write_u64(&mut out, b.raw() as u64);
@@ -1120,8 +1192,13 @@ mod tests {
     fn engine() -> (tempfile::TempDir, HybridEngine) {
         let dir = tempfile::tempdir().unwrap();
         let schema = Schema::new(4, decibel_common::schema::ColumnType::U32);
-        let eng = HybridEngine::init(dir.path().join("hy"), schema, &StoreConfig::test_default())
-            .unwrap();
+        let eng = HybridEngine::init(
+            EngineKind::Hybrid,
+            dir.path().join("hy"),
+            schema,
+            &StoreConfig::test_default(),
+        )
+        .unwrap();
         (dir, eng)
     }
 

@@ -866,9 +866,7 @@ impl VersionedStore for VersionFirstEngine {
         for seg in &self.segments {
             seg.heap.flush()?;
         }
-        self.graph
-            .get_mut()
-            .save_in(self.pool.env().as_ref(), self.dir.join("graph.dvg"), false)
+        Ok(())
     }
 
     fn checkpoint(&mut self) -> Result<Vec<u8>> {
@@ -878,11 +876,6 @@ impl VersionedStore for VersionFirstEngine {
                 seg.heap.sync()?;
             }
         }
-        self.graph.get_mut().save_in(
-            self.pool.env().as_ref(),
-            self.dir.join("graph.dvg"),
-            self.fsync,
-        )?;
         let mut out = Vec::new();
         checkpoint::write_slice(&mut out, &self.graph.get_mut().to_bytes());
         varint::write_u64(&mut out, self.segments.len() as u64);

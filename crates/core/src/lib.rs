@@ -5,16 +5,19 @@
 //! merges over tables of records tracked by primary key (§2) — implemented
 //! in three interchangeable physical schemes (§3):
 //!
-//! * [`engine::TupleFirstEngine`] — one shared heap file plus a
-//!   per-branch/per-tuple bitmap index (generic over the two bitmap
-//!   orientations of §3.1);
+//! * tuple-first ([`engine::TupleFirstBranchEngine`],
+//!   [`engine::TupleFirstTupleEngine`]) — one shared heap file plus a
+//!   per-branch/per-tuple bitmap index, in either bitmap orientation of
+//!   §3.1;
 //! * [`engine::VersionFirstEngine`] — per-branch segment files chained by
 //!   branch points;
 //! * [`engine::HybridEngine`] — version-first's segmented layout with
 //!   tuple-first's bitmaps attached to each segment plus a global
 //!   branch-segment bitmap.
 //!
-//! All three implement [`store::VersionedStore`]; [`db::Database`] wraps
+//! Tuple-first and hybrid are one engine, [`engine::SegmentedEngine`]:
+//! tuple-first is its configuration whose one segment no fork splits.
+//! All of them implement [`store::VersionedStore`]; [`db::Database`] wraps
 //! any of them with sessions, branch-level two-phase locking, and the
 //! versioned query layer ([`query`]) that expresses the benchmark's four
 //! query classes (§4.3).
@@ -34,7 +37,7 @@ pub mod types;
 pub use cursor::{MultiScanCursor, ScanCursor};
 pub use db::Database;
 pub use engine::{
-    HybridEngine, TupleFirstBranchEngine, TupleFirstEngine, TupleFirstTupleEngine,
+    HybridEngine, SegmentedEngine, TupleFirstBranchEngine, TupleFirstTupleEngine,
     VersionFirstEngine,
 };
 pub use query::{MultiReadBuilder, ReadBuilder};

@@ -305,6 +305,7 @@ mod tests {
     fn store() -> (tempfile::TempDir, TupleFirstBranchEngine, BranchId) {
         let dir = tempfile::tempdir().unwrap();
         let mut eng = TupleFirstBranchEngine::init(
+            crate::types::EngineKind::TupleFirstBranch,
             dir.path().join("q"),
             Schema::new(2, ColumnType::U32),
             &StoreConfig::test_default(),

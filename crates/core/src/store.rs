@@ -20,8 +20,10 @@ use crate::types::{
 /// (branch / commit / checkout / diff / merge) plus record modification and
 /// the scan shapes the benchmark queries need (§4.3).
 ///
-/// Implementations: [`TupleFirstEngine`](crate::engine::TupleFirstEngine),
-/// [`VersionFirstEngine`](crate::engine::VersionFirstEngine), and
+/// Implementations: [`VersionFirstEngine`](crate::engine::VersionFirstEngine)
+/// and [`SegmentedEngine`](crate::engine::SegmentedEngine), which serves
+/// both tuple-first kinds ([`TupleFirstBranchEngine`](crate::engine::TupleFirstBranchEngine),
+/// [`TupleFirstTupleEngine`](crate::engine::TupleFirstTupleEngine)) and
 /// [`HybridEngine`](crate::engine::HybridEngine).
 ///
 /// # Semantics shared by every engine
@@ -240,11 +242,13 @@ pub trait VersionedStore: Send + Sync {
     /// Storage accounting for the experiment harness.
     fn stats(&self) -> StoreStats;
 
-    /// Flushes buffered heap tails and persists the version graph.
+    /// Flushes buffered heap tails. Nothing else is written: the version
+    /// graph and the rest of the engine's metadata are persisted only in
+    /// the [`checkpoint`](VersionedStore::checkpoint) payload.
     fn flush(&mut self) -> Result<()>;
 
     /// Checkpoint-flushes the engine: every durable structure — heap
-    /// tails, version graph, commit-store delta files — is written out
+    /// tails, commit-store delta files — is written out
     /// (and fsynced when the store was configured with `fsync`), then the
     /// engine's snapshot is returned: the metadata needed to reopen it
     /// from those files without journal replay (embedded graph, per-file
@@ -258,20 +262,4 @@ pub trait VersionedStore: Send + Sync {
     /// Drops all cached pages (emulates the paper's cold-cache measurement
     /// discipline, §5).
     fn drop_caches(&self);
-}
-
-/// Convenience: resolve a [`VersionRef`] naming a branch head to its
-/// branch, or `None` for historical commits.
-pub fn as_branch(graph: &VersionGraph, version: VersionRef) -> Option<BranchId> {
-    match version {
-        VersionRef::Branch(b) => Some(b),
-        VersionRef::Commit(c) => {
-            let meta = graph.commit(c).ok()?;
-            if graph.is_head(c) {
-                Some(meta.branch)
-            } else {
-                None
-            }
-        }
-    }
 }

@@ -55,11 +55,6 @@ impl Repo {
         &self.workdir
     }
 
-    /// The current branch name.
-    pub fn head_branch(&self) -> &str {
-        &self.head
-    }
-
     /// The head commit of a branch.
     pub fn branch_head(&self, name: &str) -> Result<Sha1> {
         self.refs

@@ -12,7 +12,7 @@
 //!   both) and a [`Trigger`] (level- or edge-triggered).
 //! * [`Poll::poll`] blocks up to a deadline and fills an [`Events`]
 //!   buffer; each [`Event`] reports its token plus readable / writable /
-//!   error / peer-closed readiness.
+//!   peer-closed readiness.
 //! * [`Waker`] is an `eventfd` registered with the poll, so another
 //!   thread can interrupt a blocked `poll` — the cross-thread shutdown
 //!   and work-completion signal.
@@ -89,7 +89,6 @@ pub struct Event {
     token: Token,
     readable: bool,
     writable: bool,
-    error: bool,
     read_closed: bool,
 }
 
@@ -107,12 +106,6 @@ impl Event {
     /// The fd is writable.
     pub fn is_writable(&self) -> bool {
         self.writable
-    }
-
-    /// The fd is in an error state (`EPOLLERR`); reported regardless of
-    /// registered interest.
-    pub fn is_error(&self) -> bool {
-        self.error
     }
 
     /// The peer closed its end (`EPOLLHUP`/`EPOLLRDHUP`); reported
@@ -303,7 +296,6 @@ mod sys {
 
     const EPOLLIN: u32 = 0x001;
     const EPOLLOUT: u32 = 0x004;
-    const EPOLLERR: u32 = 0x008;
     const EPOLLHUP: u32 = 0x010;
     const EPOLLRDHUP: u32 = 0x2000;
     const EPOLLET: u32 = 1 << 31;
@@ -478,7 +470,6 @@ mod sys {
                     token: Token(data as usize),
                     readable: bits & (EPOLLIN | EPOLLHUP | EPOLLRDHUP) != 0,
                     writable: bits & EPOLLOUT != 0,
-                    error: bits & EPOLLERR != 0,
                     read_closed: bits & (EPOLLHUP | EPOLLRDHUP) != 0,
                 }
             })

@@ -271,11 +271,6 @@ impl BufferPool {
         self.inner.lock().frames.clear();
     }
 
-    /// Drops cached pages belonging to `file` (used when a file is deleted).
-    pub fn clear_file(&self, file: FileId) {
-        self.inner.lock().frames.retain(|&(f, _), _| f != file);
-    }
-
     /// Snapshot of hit/miss/eviction counters.
     pub fn stats(&self) -> PoolStats {
         self.inner.lock().stats

@@ -15,9 +15,7 @@
 //!   common ancestor queries (the anchor of every merge and three-way diff)
 //!   are a heap walk rather than a full traversal.
 
-use std::path::Path;
-
-use decibel_common::error::{DbError, IoResultExt, Result};
+use decibel_common::error::{DbError, Result};
 use decibel_common::hash::{FxHashMap, FxHashSet};
 use decibel_common::ids::{BranchId, CommitId};
 use decibel_common::varint;
@@ -355,28 +353,6 @@ impl VersionGraph {
             by_name,
         })
     }
-
-    /// Persists the graph to `path` through `env` (atomic: write a temp
-    /// file then rename), optionally fsyncing the file before the rename
-    /// and the directory after it — the durable variant checkpoints use
-    /// (an atomic rename is only crash-safe once both are synced).
-    pub fn save_in(
-        &self,
-        env: &dyn decibel_common::env::DiskEnv,
-        path: impl AsRef<Path>,
-        fsync: bool,
-    ) -> Result<()> {
-        decibel_common::fsio::write_file_durably_in(env, path.as_ref(), &self.to_bytes(), fsync)
-    }
-
-    /// Loads a graph persisted by [`VersionGraph::save_in`] through `env`.
-    pub fn load_in(
-        env: &dyn decibel_common::env::DiskEnv,
-        path: impl AsRef<Path>,
-    ) -> Result<VersionGraph> {
-        let bytes = env.read(path.as_ref()).ctx("reading version graph")?;
-        VersionGraph::from_bytes(&bytes)
-    }
 }
 
 #[cfg(test)]
@@ -514,16 +490,6 @@ mod tests {
         let bytes = g.to_bytes();
         let back = VersionGraph::from_bytes(&bytes).unwrap();
         assert_eq!(g, back);
-    }
-
-    #[test]
-    fn save_load_roundtrip() {
-        let (g, _, _) = figure_1b();
-        let dir = tempfile::tempdir().unwrap();
-        let p = dir.path().join("graph");
-        let env = decibel_common::env::StdEnv;
-        g.save_in(&env, &p, false).unwrap();
-        assert_eq!(VersionGraph::load_in(&env, &p).unwrap(), g);
     }
 
     #[test]
